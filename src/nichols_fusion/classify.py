@@ -95,13 +95,6 @@ def classify_coinvariant(p: int, a: int, b: int, t: int) -> ModuleDescriptor:
     return ModuleDescriptor("L", r, nu, labels)
 
 
-def projective_label_holds(p: int, a: int, b: int, t: int) -> bool:
-    """Whether V^{a,b}_{0,t} is the leftmost coinvariant of a P[r] (r < p)."""
-    r = (a + b - 2 * t) % p + 1
-    ap = a % p
-    return 1 <= r <= p - 1 and (t <= ap - r or ap + 1 <= t <= p - r - 1)
-
-
 def _f_image_contains(K: CycField, coinv: BasisVector) -> bool:
     # F raises the cross grade by one, so solve F x = coinv on the grade below
     p = K.p
@@ -164,20 +157,13 @@ def generate_submodule(K: CycField, coinv: BasisVector):
     return basis, ModuleDescriptor(kind, r, raw_nu(a_eff, r, p), labels)
 
 
-def _c_t(K: CycField, a, b, t, r, s):
-    """c^{a,b}_t(r,s), the action coefficients on a left coinvariant."""
-    from .ydspace import _c2
-
-    return _c2(K, a, b, 0, t, r, s)
-
-
 def top_extension_vector(K: CycField, a: int, b: int, t: int, r: int) -> dict:
     """The vector starting the upper floor over the coinvariant V^{a,b}_{0,t}:
     sum_s [r-1]! c^{a,b}_t(r-1, s) V^{a,b}_{r-s, t+s}."""
     fact = K.q_fact(r - 1)
     out = {}
     for s in range(r):
-        coef = fact * _c_t(K, a, b, t, r - 1, s)
+        coef = fact * yds._c2(K, a, b, 0, t, r - 1, s)
         yds._put(K, out, yds.two_vertex(a, b, r - s, t + s), coef)
     return out
 

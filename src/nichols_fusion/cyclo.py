@@ -6,7 +6,9 @@ vertex-vertex braiding and in the ribbon map); all of them are integer powers
 of zeta.  Elements are polynomials in zeta with rational coefficients, held in
 canonical form reduced modulo the 4p-th cyclotomic polynomial Phi_{4p}.
 Reducing modulo Phi_{4p} (not zeta^{4p} - 1) keeps the quotient a field, so an
-element is zero iff its coefficient vector is zero.
+element is zero iff its coefficient vector is zero.  Inverses come from the
+Galois norm: x^-1 = prod_{k != 1} sigma_k(x) / N(x), with sigma_k the
+automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
@@ -17,18 +19,9 @@ hot arithmetic is plain integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 import cmath
-
-
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod_int(n, d):
@@ -139,15 +132,33 @@ class CycNum:
         return acc
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_{4p}."""
+        """Multiplicative inverse via the Galois norm.
+
+        With sigma_k(x) = sum_i c_i zeta^{ik} for the units k != 1 mod 4p,
+        N(x) = x * prod_k sigma_k(x) is rational and x^-1 = prod_k sigma_k(x) / N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         f = self.field
-        a = [Fraction(c, self.den) for c in self.num]
-        u = _fraction_poly_invmod(a, [Fraction(c) for c in f.phi])
-        den = reduce(lambda x, y: x * y // gcd(x, y), (c.denominator for c in u), 1)
-        vec = [int(c * den) for c in u] + [0] * (f.deg - len(u))
-        return f._make(vec, den)
+        conj = f.one
+        for k in f.galois_units:
+            conj = conj * self._conjugate(k)
+        norm = self * conj
+        if any(norm.num[1:]):
+            raise ArithmeticError(f"Galois norm of {self!r} is not rational")
+        return f._make([c * norm.den for c in conj.num], conj.den * norm.num[0])
+
+    def _conjugate(self, k: int) -> "CycNum":
+        """sigma_k(self), the image under zeta -> zeta^k."""
+        f = self.field
+        acc = [0] * f.deg
+        for i, c in enumerate(self.num):
+            if c:
+                z = f._zeta[i * k % f.order].num
+                for t in range(f.deg):
+                    if z[t]:
+                        acc[t] += c * z[t]
+        return f._make(acc, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, CycNum):
@@ -174,52 +185,6 @@ class CycNum:
         if self.den != 1:
             body = f"({body})/{self.den}"
         return f"CycNum({body})"
-
-
-def _fraction_poly_invmod(a, m):
-    """u with a*u = 1 mod m, over Fraction coefficients; m need not be irreducible
-    as long as gcd(a, m) = 1 (true here since Phi_{4p} is irreducible over Q)."""
-
-    def trim(x):
-        while x and not x[-1]:
-            x.pop()
-        return x
-
-    def dm(n, d):
-        n = list(n)
-        q = [Fraction(0)] * max(len(n) - len(d) + 1, 1)
-        while len(n) >= len(d) and any(n):
-            if not n[-1]:
-                n.pop()
-                continue
-            c = n[-1] / d[-1]
-            k = len(n) - len(d)
-            q[k] += c
-            for j in range(len(d)):
-                n[k + j] -= c * d[j]
-            n.pop()
-        return q, trim(n)
-
-    r0, r1 = trim(list(m)), trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = dm(r0, r1)
-        qs = _fraction_poly_mul(q, s1)
-        s = [x - y for x, y in zip(s0 + [Fraction(0)] * len(qs), qs + [Fraction(0)] * len(s0))]
-        r0, r1, s0, s1 = r1, r, s1, trim(s)
-    # r0 = gcd (a nonzero constant since Phi is irreducible)
-    c = r0[0]
-    assert len(r0) == 1 and c != 0
-    return [x / c for x in s0]
-
-
-def _fraction_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 class CycField:
@@ -253,6 +218,8 @@ class CycField:
         self.zero = CycNum(self, (0,) * self.deg, 1)
         self.one = self._basis_monomial(0)
         self._zeta = self._zeta_table()
+        # the units k != 1 mod 4p, one Galois automorphism zeta -> zeta^k each
+        self.galois_units = tuple(k for k in range(2, self.order) if gcd(k, self.order) == 1)
         self._qint = {}
         self._qfact = {0: self.one}
         self._qbinom = {}
@@ -305,10 +272,6 @@ class CycField:
         """q^k = zeta^(2k)."""
         return self._zeta[(2 * k) % self.order]
 
-    def q_half_pow(self, k: int) -> CycNum:
-        """q^(k/2) = zeta^k."""
-        return self._zeta[k % self.order]
-
     def q_int(self, r: int) -> CycNum:
         """The q-integer [r] = (q^{2r} - 1)/(q^2 - 1), division-free.
 
@@ -357,9 +320,6 @@ class CycField:
     def xi(self) -> CycNum:
         """xi = 1 - q^2, the normalization of the adjoint action of F."""
         return self.one - self.q_pow(2)
-
-    def inv(self, x: CycNum) -> CycNum:
-        return x.inv()
 
     def __repr__(self):
         return f"CycField(p={self.p})"

@@ -46,14 +46,10 @@ def fusion_map_basis(K: CycField, bv1: yds.BasisVector, bv2: yds.BasisVector) ->
     return out
 
 
-def fusion_map(K: CycField, y: dict, z: dict) -> dict:
-    """Bilinear extension of the basis fusion map, landing in the (a,b) sector."""
-    out = {}
-    for bv1, c1 in y.items():
-        for bv2, c2 in z.items():
-            for bw, d in fusion_map_basis(K, bv1, bv2).items():
-                yds.add_term(out, bw, c1 * c2 * d)
-    return out
+def fusion_map(K: CycField, x: dict) -> dict:
+    """Linear extension of the basis fusion map to a TensorVec, landing in the
+    (a,b) sector."""
+    return yds.linear_extend(lambda key: fusion_map_basis(K, *key), x)
 
 
 def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
@@ -89,8 +85,9 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
 def monodromy_display_full(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     """The published triple sum read literally (outer sum over i >= n kept).
 
-    Retained only so the verification report can state which reading of the
-    display matches braid_B2; it is *not* the production closed form.
+    Not the production closed form and not part of any verification suite;
+    only tests/test_fusion.py calls it, as the evidence that this literal
+    reading of the display disagrees with fused_monodromy.
     """
     out = {}
     for n in range(s + t + 1):
@@ -118,11 +115,7 @@ def monodromy_display_full(K: CycField, a: int, b: int, s: int, t: int) -> dict:
 def fused_monodromy(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     """fusion_map composed with the double braiding, computed compositionally."""
     x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-    out = {}
-    for (bv1, bv2), c in yds.braid_B2(K, x).items():
-        for bw, d in fusion_map_basis(K, bv1, bv2).items():
-            yds.add_term(out, bw, c * d)
-    return out
+    return fusion_map(K, yds.braid_B2(K, x))
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,14 @@ so evaluation and coevaluation stay inside the implemented sectors:
     <V^a_s, V^b_t>  = (-1)^s q^{-s^2+s(a-1)}  if s+t = p-1 and a+b = 2p-2 (mod 4p)
     coev(X^a)       = sum_s V^a_s (x) (-1)^{a+s} q^{(s+1)(s-a-2)} V^{2p-a-2}_{p-1-s}
 
-and similarly for two-vertex modules.  The loop operator chi_Z runs Z along a
-loop around Y:  coevaluate Z, double-braid Y past Z, apply the ribbon map and
-the squared relative antipode sigma_2 to Z, braid Z past its dual with the
-plain diagonal braiding, and evaluate.  On a simple Y the result is a scalar
-lambda; on a P module it is lambda plus a nilpotent mu part mapping the top
-floor onto the bottom one.
+The loop operator chi_Z runs Z along a loop around Y:  coevaluate Z,
+double-braid Y past Z, apply the ribbon map and the squared relative antipode
+sigma_2 to Z, braid Z past its dual with the plain diagonal braiding, and
+evaluate.  On a simple Y the result is a scalar lambda; on a P module it is
+lambda plus a nilpotent mu part mapping the top floor onto the bottom one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cyclo import CycField, CycNum, cyclotomic_field
 from . import ydspace as yds
@@ -79,19 +76,6 @@ def dual_coact_U(K: CycField, a: int, s: int):
         coef = K.q_pow(-r * a - 2 * s * r - r * (r - 1))
         out.append((r, -coef if r % 2 else coef))
     return out
-
-
-def ev_two_vertex(K: CycField, u: yds.BasisVector, v: yds.BasisVector) -> CycNum:
-    """<V^{a,b}_{s,t}, V^{c,d}_{u,v}> in the identified two-vertex realization."""
-    (a, b), (s, t) = u
-    (c, d), (su, tv) = v
-    n4 = 4 * K.p
-    if s + su != K.p - 1 or t + tv != K.p - 1:
-        return K.zero
-    if (a + c + 2) % n4 != 0 or (b + d + 2) % n4 != 0:
-        return K.zero
-    coef = K.q_pow((s + t) * (2 * a + b + 1 - s - t))
-    return -coef if (s + t) % 2 else coef
 
 
 def dual_identification_two_vertex(K: CycField, a: int, b: int, s: int, t: int):
@@ -340,68 +324,6 @@ def verify_chi_on_P(K: CycField, a: int, t: int, b_label: int, r: int, nu: int) 
     want_lam = lambda_closed(K, pdesc.r, pdesc.nu, r, nu)
     want_mu = mu_closed(K, pdesc.r, pdesc.nu, r, nu)
     return lam == want_lam and mu == want_mu
-
-
-@dataclass(frozen=True)
-class LoopAction:
-    """How a loop module acts on a target: a diagonal eigenvalue and, on a
-    P-type target only, the nilpotent top-to-bottom coefficient."""
-
-    lam: CycNum
-    mu: CycNum | None = None
-
-
-def chi(K: CycField, y_desc, z_desc) -> LoopAction:
-    """Run the simple module z_desc around the loop on y_desc.
-
-    y_desc may be simple (X/S) or a P/L descriptor carrying (a, t, b) labels;
-    the result is checked against the full matrix (scalar on simples,
-    lambda * id + mu * N on a P), which also verifies that the endomorphism
-    commutes with the action and coaction through its very shape.
-    """
-    if z_desc.kind not in ("X", "S"):
-        raise ValueError(f"the loop module must be simple, got {z_desc}")
-    r, nu = z_desc.r, z_desc.nu
-    if y_desc.kind in ("X", "S"):
-        return LoopAction(chi_on_simple(K, y_desc.r, y_desc.nu, r, nu))
-    if y_desc.kind in ("L", "P") and len(y_desc.labels) == 3:
-        a, t, b = y_desc.labels
-        lam, mu, _ = chi_on_p_module(K, a, t, b, r, nu)
-        return LoopAction(lam, mu)
-    raise ValueError(f"unsupported target {y_desc}")
-
-
-def chi_matrix(K: CycField, y_desc, z_desc):
-    """The matrix of the loop endomorphism in the standard basis of y_desc.
-
-    Returns (tags, entries) with entries[(i, j)] the coefficient of basis
-    vector i in the image of basis vector j.
-    """
-    if z_desc.kind not in ("X", "S"):
-        raise ValueError(f"the loop module must be simple, got {z_desc}")
-    p = K.p
-    zb = z_desc.r - 1 - z_desc.nu * p
-    if y_desc.kind in ("X", "S"):
-        ay = y_desc.r - 1 - y_desc.nu * p
-        basis = [{yds.one_vertex(ay, s): K.one} for s in range(y_desc.r)]
-        tags = list(range(y_desc.r))
-    elif y_desc.kind in ("L", "P") and len(y_desc.labels) == 3:
-        a, t, b = y_desc.labels
-        vs, us, _ = p_module_basis(K, a, t, b)
-        basis = vs + us
-        tags = [("v", i + 1) for i in range(p)] + [("u", i + 1) for i in range(p)]
-    else:
-        raise ValueError(f"unsupported target {y_desc}")
-    ech = Echelon(K)
-    for tag, w in zip(tags, basis):
-        ech.add(w, tag)
-    entries = {}
-    for j, w in zip(tags, basis):
-        coords = ech.coordinates(chi_apply(K, w, zb))
-        assert coords is not None, "chi left the module"
-        for i, c in coords.items():
-            entries[(i, j)] = c
-    return tags, entries
 
 
 def verify_multiplicativity(p: int, w, z, y) -> bool:

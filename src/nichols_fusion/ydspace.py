@@ -62,10 +62,6 @@ def three_vertex(a, b, c, s, t, u) -> BasisVector:
     return BasisVector((a, b, c), (s, t, u))
 
 
-def charge(bv: BasisVector) -> int:
-    return bv.charge
-
-
 def psi_scalar(K: CycField, v, w) -> CycNum:
     """Diagonal braiding scalar: Psi(v (x) w) = psi_scalar(v, w) * (w (x) v).
 
@@ -86,6 +82,15 @@ def add_term(vec: dict, key, coef: CycNum) -> None:
         vec[key] = coef
 
 
+def linear_extend(basis_map, vec: dict) -> dict:
+    """sum_k c_k * basis_map(k): the linear extension of a map on basis keys."""
+    out = {}
+    for key, c in vec.items():
+        for bw, d in basis_map(key).items():
+            add_term(out, bw, c * d)
+    return out
+
+
 def scale(K: CycField, vec: dict, coef: CycNum) -> dict:
     if coef.is_zero():
         return {}
@@ -101,10 +106,6 @@ def vec_sub(vec: dict, other: dict) -> dict:
 
 def vec_eq(a: dict, b: dict) -> bool:
     return not vec_sub(a, b)
-
-
-def basis_vec(K: CycField, bv: BasisVector) -> dict:
-    return {bv: K.one}
 
 
 def _put(K, out, bv, coef):
@@ -184,11 +185,7 @@ def act_F_basis(K: CycField, bv: BasisVector) -> dict:
 
 
 def act_F(K: CycField, v: dict) -> dict:
-    out = {}
-    for bv, c in v.items():
-        for bw, d in act_F_basis(K, bv).items():
-            add_term(out, bw, c * d)
-    return out
+    return linear_extend(lambda bv: act_F_basis(K, bv), v)
 
 
 def act_Fr_basis(K: CycField, r: int, bv: BasisVector) -> dict:
@@ -222,20 +219,7 @@ def act_Fr_basis(K: CycField, r: int, bv: BasisVector) -> dict:
 
 
 def act_Fr(K: CycField, r: int, v: dict) -> dict:
-    out = {}
-    for bv, c in v.items():
-        for bw, d in act_Fr_basis(K, r, bv).items():
-            add_term(out, bw, c * d)
-    return out
-
-
-def act_elt(K: CycField, h: dict, v: dict) -> dict:
-    """Action of a general algebra element h = sum h_r F(r)."""
-    out = {}
-    for r, hc in h.items():
-        for bw, d in act_Fr(K, r, v).items():
-            add_term(out, bw, hc * d)
-    return out
+    return linear_extend(lambda bv: act_Fr_basis(K, r, bv), v)
 
 
 def coact_basis(bv: BasisVector) -> list[tuple[int, BasisVector]]:
@@ -281,14 +265,6 @@ def tensor_act_Fr(K: CycField, n: int, x: dict) -> dict:
             for b1, c1 in wy.items():
                 for b2, c2 in wz.items():
                     add_term(out, (b1, b2), coef * c1 * c2)
-    return out
-
-
-def tensor_act(K: CycField, h: dict, x: dict) -> dict:
-    out = {}
-    for n, hc in h.items():
-        for key, c in tensor_act_Fr(K, n, x).items():
-            add_term(out, key, hc * c)
     return out
 
 

@@ -116,3 +116,24 @@ def test_out_file(tmp_path):
     )
     assert code == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "suite, check", [("fusion", "fusion.theorem_both_paths"), ("ring", "ring.matches_module_fusion")]
+)
+def test_fusion_disagreement_is_a_fail_line(monkeypatch, suite, check):
+    # a closed form that is wrong only when r1 > r2 breaks the swapped call too
+    from nichols_fusion import fusion as fu
+
+    closed = fu.fuse_closed
+
+    def broken(p, r1, nu1, r2, nu2):
+        out = closed(p, r1, nu1, r2, nu2)
+        if r1 > r2:
+            out = tuple(fu.ModuleDescriptor(d.kind, d.r, (d.nu + 1) % 4) for d in out)
+        return out
+
+    monkeypatch.setattr(fu, "fuse_closed", broken)
+    code, out = run_cli(["verify", "--p", "3", "--suite", suite])
+    assert code == 2
+    assert f"FAIL {check} " in out

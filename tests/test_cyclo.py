@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,30 @@ def test_float_embedding_of_scalars():
         z = cmath.exp(1j * cmath.pi / (2 * p))
         for k in range(4 * p):
             assert abs(K.zeta_pow(k).evalf() - z**k) < 1e-9
+
+
+def test_inverse_and_product_against_sympy():
+    # an independent reference: polynomial arithmetic over QQ mod Phi_{4p}
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(20111109)
+
+    def as_poly(x):
+        return sympy.Poly(
+            [sympy.Rational(c, x.den) for c in reversed(x.num)], z, domain=sympy.QQ
+        )
+
+    for p in range(2, 13):
+        K = field(p)
+        phi = sympy.Poly(sympy.cyclotomic_poly(4 * p, z), z, domain=sympy.QQ)
+        operands = [
+            random_elt(K, [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(K.deg)])
+            for _ in range(4)
+        ]
+        for r in range(1, p):
+            operands += [K.q_int(r), K.q_fact(r), (K.q_pow(r) - K.q_pow(-r)) ** 3]
+        for x, y in zip(operands, operands[1:] + operands[:1]):
+            if x.is_zero():
+                continue
+            assert as_poly(x.inv()) == sympy.invert(as_poly(x), phi), (p, x)
+            assert as_poly(x * y) == sympy.rem(as_poly(x) * as_poly(y), phi), (p, x, y)

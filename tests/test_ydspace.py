@@ -9,7 +9,7 @@ from nichols_fusion.ydspace import one_vertex, two_vertex, three_vertex, _c2
 def test_charges():
     assert one_vertex(3, 1).charge == 1
     assert two_vertex(2, 5, 1, 0).charge == 5
-    assert yds.charge(three_vertex(1, 1, 1, 1, 1, 1)) == -3
+    assert three_vertex(1, 1, 1, 1, 1, 1).charge == -3
 
 
 def test_psi_scalar_examples():
