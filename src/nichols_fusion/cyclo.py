@@ -10,6 +10,11 @@ element is zero iff its coefficient vector is zero.  Inverses come from the
 Galois norm: x^-1 = prod_{k != 1} sigma_k(x) / N(x), with sigma_k the
 automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 
+Each CycField memoizes what is computed over and over: the q-integers,
+q-factorials and q-binomials (_qint, _qfact, _qbinom), the two-vertex action
+coefficients of ydspace (_c2), and every inverse computed so far (_inv, keyed
+by the operand's (num, den)), so a repeated inverse costs one dict lookup.
+
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
 system is an algebraic integer, so the denominator is usually 1 and all the
@@ -140,13 +145,18 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         f = self.field
-        conj = f.one
-        for k in f.galois_units:
-            conj = conj * self._conjugate(k)
-        norm = self * conj
-        if any(norm.num[1:]):
-            raise ArithmeticError(f"Galois norm of {self!r} is not rational")
-        return f._make([c * norm.den for c in conj.num], conj.den * norm.num[0])
+        key = (self.num, self.den)
+        v = f._inv.get(key)
+        if v is None:
+            conj = f.one
+            for k in f.galois_units:
+                conj = conj * self._conjugate(k)
+            norm = self * conj
+            if any(norm.num[1:]):
+                raise ArithmeticError(f"Galois norm of {self!r} is not rational")
+            v = f._make([c * norm.den for c in conj.num], conj.den * norm.num[0])
+            f._inv[key] = v
+        return v
 
     def _conjugate(self, k: int) -> "CycNum":
         """sigma_k(self), the image under zeta -> zeta^k."""
@@ -190,8 +200,11 @@ class CycNum:
 class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
-    All values are immutable and operations are pure; instances are safe to
-    share across threads (the memo caches are idempotent dict writes).
+    The memo caches are _qint, _qfact, _qbinom, _c2 (filled by ydspace._c2)
+    and _inv (filled by CycNum.inv).  They live as long as the field and grow
+    with the number of distinct keys.  All values are immutable and operations
+    are pure; instances are safe to share across threads (the memo caches are
+    idempotent dict writes).
     """
 
     def __init__(self, p: int):
@@ -224,6 +237,7 @@ class CycField:
         self._qfact = {0: self.one}
         self._qbinom = {}
         self._c2 = {}
+        self._inv = {}
 
     def _make(self, vec, den) -> CycNum:
         if den < 0:

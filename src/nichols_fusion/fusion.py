@@ -195,7 +195,7 @@ def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> FusionResult:
     closed = fuse_closed(p, r1, nu1, r2, nu2)
     brute = fuse_brute(cyclotomic_field(p), r1, nu1, r2, nu2)
     if closed != brute:
-        raise AssertionError(
+        raise yds.VerificationError(
             f"fusion paths disagree at p={p}, "
             f"({r1},{nu1})x({r2},{nu2}): closed={closed}, brute={brute}"
         )

@@ -41,7 +41,11 @@ class Echelon:
         if piv is None:
             return False
         inv = red[piv].inv()
-        self.rows[piv] = {k: inv * c for k, c in red.items()}
+        if red[piv] == self.field.one:
+            # red is _reduce's own copy, so a unit-pivot row is stored as is
+            self.rows[piv] = red
+        else:
+            self.rows[piv] = {k: inv * c for k, c in red.items()}
         if tag is not None:
             selfcombo = {t: -(inv * c) for t, c in combo.items()}
             add_term(selfcombo, tag, inv)

@@ -246,17 +246,19 @@ def _assert_commutes(K: CycField, y_basis, b: int):
     for w in y_basis:
         lhs = chi_apply(K, yds.act_F(K, w), b)
         rhs = yds.act_F(K, chi_apply(K, w, b))
-        assert yds.vec_eq(lhs, rhs), "chi does not commute with the action"
+        if not yds.vec_eq(lhs, rhs):
+            raise yds.VerificationError("chi does not commute with the action")
         lc = {r: comp for r, comp in yds.coact(K, chi_apply(K, w, b))}
         rc = {r: chi_apply(K, comp, b) for r, comp in yds.coact(K, w)}
-        assert set(lc) == {r for r, c in rc.items() if c} and all(
+        if set(lc) != {r for r, c in rc.items() if c} or not all(
             yds.vec_eq(lc[r], rc[r]) for r in lc
-        ), "chi does not commute with the coaction"
+        ):
+            raise yds.VerificationError("chi does not commute with the coaction")
 
 
 def chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int, check_commute=False) -> CycNum:
-    """Run X(r)_nu around the loop on Y = X(r')_{nu'}; asserts the matrix is a
-    scalar and returns it."""
+    """Run X(r)_nu around the loop on Y = X(r')_{nu'}; returns the scalar the
+    matrix must be, or raises VerificationError if it is not one."""
     p = K.p
     a = rp - 1 - nup * p
     b = r - 1 - nu * p
@@ -265,12 +267,13 @@ def chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int, check_commute
     for s, w in enumerate(basis):
         img = chi_apply(K, w, b)
         keys = set(img)
-        assert keys <= {yds.one_vertex(a, s)}, "chi not diagonal on a simple module"
+        if not keys <= {yds.one_vertex(a, s)}:
+            raise yds.VerificationError("chi not diagonal on a simple module")
         val = img.get(yds.one_vertex(a, s), K.zero)
         if lam is None:
             lam = val
-        else:
-            assert lam == val, "chi not scalar on a simple module"
+        elif lam != val:
+            raise yds.VerificationError("chi not scalar on a simple module")
     if check_commute:
         _assert_commutes(K, basis, b)
     return lam
@@ -279,9 +282,9 @@ def chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int, check_commute
 def chi_on_p_module(K: CycField, a: int, t: int, b_label: int, r: int, nu: int):
     """chi of Z = X(r)_nu on the P module with leftmost coinvariant (a, t, b).
 
-    Returns (lambda, mu) extracted from the full matrix, asserting the matrix
-    equals lambda * id + mu * N where N maps u(i) to v(r'+i) and kills the
-    v chain (r' the left wing length).
+    Returns (lambda, mu) extracted from the full matrix; raises
+    VerificationError unless the matrix equals lambda * id + mu * N, where N
+    maps u(i) to v(r'+i) and kills the v chain (r' the left wing length).
     """
     p = K.p
     vs, us, pdesc = p_module_basis(K, a, t, b_label)
@@ -296,31 +299,37 @@ def chi_on_p_module(K: CycField, a: int, t: int, b_label: int, r: int, nu: int):
     for idx, w in enumerate(vs + us):
         tag = tags[idx]
         coords = ech.coordinates(chi_apply(K, w, zb))
-        assert coords is not None, "chi left the P module"
+        if coords is None:
+            raise yds.VerificationError("chi left the P module")
         diag = coords.pop(tag, K.zero)
         if lam is None:
             lam = diag
-        else:
-            assert lam == diag, "diagonal part of chi not scalar on P"
+        elif lam != diag:
+            raise yds.VerificationError("diagonal part of chi not scalar on P")
         if tag[0] == "v":
-            assert not coords, f"chi(v) has off-diagonal part: {coords}"
+            if coords:
+                raise yds.VerificationError(f"chi(v) has off-diagonal part: {coords}")
         else:
             i = tag[1]
             if rp + i <= p:
-                assert set(coords) <= {("v", rp + i)}, coords
+                if not set(coords) <= {("v", rp + i)}:
+                    raise yds.VerificationError(f"chi(u) leaves the nilpotent part: {coords}")
                 val = coords.get(("v", rp + i), K.zero)
                 if mu is None:
                     mu = val
-                else:
-                    assert mu == val, "nilpotent part of chi not uniform"
-            else:
-                assert not coords, coords
+                elif mu != val:
+                    raise yds.VerificationError("nilpotent part of chi not uniform")
+            elif coords:
+                raise yds.VerificationError(f"chi(u) has off-diagonal part: {coords}")
     return lam, mu, pdesc
 
 
 def verify_chi_on_P(K: CycField, a: int, t: int, b_label: int, r: int, nu: int) -> bool:
     """Full-matrix check of chi on a P module against the closed lambda, mu."""
-    lam, mu, pdesc = chi_on_p_module(K, a, t, b_label, r, nu)
+    try:
+        lam, mu, pdesc = chi_on_p_module(K, a, t, b_label, r, nu)
+    except yds.VerificationError:
+        return False
     want_lam = lambda_closed(K, pdesc.r, pdesc.nu, r, nu)
     want_mu = mu_closed(K, pdesc.r, pdesc.nu, r, nu)
     return lam == want_lam and mu == want_mu

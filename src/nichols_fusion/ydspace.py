@@ -36,6 +36,15 @@ from .cyclo import CycField, CycNum
 from . import nichols
 
 
+class VerificationError(AssertionError):
+    """A computed map breaks an identity the theory asserts.
+
+    Raised explicitly, so ``python -O`` does not strip the check; verify
+    suites count it as a failing instance.  Subclassing AssertionError keeps
+    existing ``except AssertionError`` handlers working.
+    """
+
+
 class BasisVector(NamedTuple):
     charges: tuple[int, ...]
     crosses: tuple[int, ...]

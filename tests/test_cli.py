@@ -1,9 +1,15 @@
 import json
 import io
 import contextlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from nichols_fusion import cli
 from nichols_fusion.cli import main
 
 
@@ -137,3 +143,55 @@ def test_fusion_disagreement_is_a_fail_line(monkeypatch, suite, check):
     code, out = run_cli(["verify", "--p", "3", "--suite", suite])
     assert code == 2
     assert f"FAIL {check} " in out
+
+
+def test_loop_defect_is_a_fail_line(monkeypatch):
+    # sigma_2 wrong on the second floor makes chi non-scalar on simple modules
+    from nichols_fusion import loop as lp
+
+    scalar = lp.sigma2_scalar_one_vertex
+
+    def broken(K, a, t):
+        out = scalar(K, a, t)
+        return out + K.one if t == 1 else out
+
+    monkeypatch.setattr(lp, "sigma2_scalar_one_vertex", broken)
+    code, out = run_cli(["verify", "--p", "3", "--suite", "loop"])
+    assert code == 2
+    assert "FAIL loop.chi_scalar_on_simples " in out
+
+
+def test_code_change_misses_the_cache(tmp_path):
+    # a private copy of the package, run in child processes sharing one cache
+    pkg = tmp_path / "src" / "nichols_fusion"
+    shutil.copytree(Path(cli.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("NICHOLS_FUSION_CACHE_DIR", None)
+    cmd = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nichols_fusion.cli",
+           "verify", "--p", "3", "--suite", "fusion", "--cache-dir", str(tmp_path / "cache")]
+
+    def verify():
+        return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+
+    first = verify()
+    assert first.returncode == 0, first.stderr
+    assert "3/3 checks passed" in first.stdout
+
+    fusion = pkg / "fusion.py"
+    text = fusion.read_text()
+    assert text.count("    nu = (nu1 + nu2) % 4\n") == 1
+    fusion.write_text(text.replace("    nu = (nu1 + nu2) % 4\n", "    nu = (nu1 + nu2 + 1) % 4\n"))
+    second = verify()
+    assert second.returncode == 2, second.stderr
+    assert "FAIL fusion.theorem_both_paths " in second.stdout
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_source_digest_is_sha256():
+    import hashlib
+
+    h = cli._sha256()
+    h.update(b"nichols")
+    assert h.hexdigest() == hashlib.sha256(b"nichols").hexdigest()
+    assert len(cli._source_digest()) == 64

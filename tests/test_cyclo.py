@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols_fusion.cyclo import cyclotomic_field, cyclotomic_poly
+from nichols_fusion.cyclo import CycField, cyclotomic_field, cyclotomic_poly
 
 
 def field(p):
@@ -109,6 +109,36 @@ def test_inv_of_one_and_zero():
     assert K.one.inv() == K.one
     with pytest.raises(ZeroDivisionError):
         K.zero.inv()
+    K.xi().inv()
+    assert K._inv  # warm memo: zero is still refused, and never memoized
+    with pytest.raises(ZeroDivisionError):
+        K.zero.inv()
+    assert (K.zero.num, K.zero.den) not in K._inv
+
+
+def test_inverse_memo_warm_equals_cold():
+    K = CycField(7)  # a private field, so the first inverse misses the memo
+    x = K.xi() + K.zeta_pow(3)
+    cold = x.inv()
+    assert K._inv == {(x.num, x.den): cold}
+    warm = x.inv()
+    assert warm is cold and x * warm == K.one
+    assert len(K._inv) == 1
+    L = CycField(7)
+    assert (L.xi() + L.zeta_pow(3)).inv() == cold
+
+
+def test_inverse_memo_is_per_field():
+    # phi(20) = phi(24) = 8: one coefficient tuple names 1 + zeta in both
+    # fields, with a different inverse in each
+    K5, K6 = CycField(5), CycField(6)
+    x5, x6 = K5.one + K5.zeta_pow(1), K6.one + K6.zeta_pow(1)
+    assert K5.deg == K6.deg == 8 and (x5.num, x5.den) == (x6.num, x6.den)
+    i5 = x5.inv()
+    i6 = x6.inv()
+    assert x5 * i5 == K5.one and x6 * i6 == K6.one
+    assert i5 != i6
+    assert x5.inv() == i5 and x6.inv() == i6
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +186,7 @@ def test_inverse_and_product_against_sympy():
         )
 
     for p in range(2, 13):
-        K = field(p)
+        K = CycField(p)  # a private field: the first pass fills its inverse memo
         phi = sympy.Poly(sympy.cyclotomic_poly(4 * p, z), z, domain=sympy.QQ)
         operands = [
             random_elt(K, [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(K.deg)])
@@ -164,8 +194,9 @@ def test_inverse_and_product_against_sympy():
         ]
         for r in range(1, p):
             operands += [K.q_int(r), K.q_fact(r), (K.q_pow(r) - K.q_pow(-r)) ** 3]
-        for x, y in zip(operands, operands[1:] + operands[:1]):
-            if x.is_zero():
-                continue
-            assert as_poly(x.inv()) == sympy.invert(as_poly(x), phi), (p, x)
-            assert as_poly(x * y) == sympy.rem(as_poly(x) * as_poly(y), phi), (p, x, y)
+        for memo in ("cold", "warm"):
+            for x, y in zip(operands, operands[1:] + operands[:1]):
+                if x.is_zero():
+                    continue
+                assert as_poly(x.inv()) == sympy.invert(as_poly(x), phi), (p, memo, x)
+                assert as_poly(x * y) == sympy.rem(as_poly(x) * as_poly(y), phi), (p, x, y)
