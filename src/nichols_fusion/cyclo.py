@@ -11,9 +11,11 @@ Galois norm: x^-1 = prod_{k != 1} sigma_k(x) / N(x), with sigma_k the
 automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 
 Each CycField memoizes what is computed over and over: the q-integers,
-q-factorials and q-binomials (_qint, _qfact, _qbinom), the two-vertex action
-coefficients of ydspace (_c2), and every inverse computed so far (_inv, keyed
-by the operand's (num, den)), so a repeated inverse costs one dict lookup.
+q-factorials and q-binomials (_qint, _qfact, _qbinom), the powers of
+xi = 1 - q^2 (_xi_pow), the one- and two-vertex action coefficients of
+ydspace (_c1, _c2), and every inverse computed so far (_inv, keyed by the
+operand's (num, den)), so a repeated inverse costs one dict lookup.
+Multiplying by 1 returns the other operand unchanged, without a convolution.
 
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
@@ -105,6 +107,12 @@ class CycNum:
         f = self.field
         if isinstance(other, int):
             return f._make([a * other for a in self.num], self.den)
+        # values are immutable and canonical, so x * 1 may return x itself
+        one = f.one.num
+        if self.den == 1 and self.num == one:
+            return other
+        if other.den == 1 and other.num == one:
+            return self
         conv = [0] * (2 * f.deg - 1)
         for i, ai in enumerate(self.num):
             if ai:
@@ -200,11 +208,11 @@ class CycNum:
 class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
-    The memo caches are _qint, _qfact, _qbinom, _c2 (filled by ydspace._c2)
-    and _inv (filled by CycNum.inv).  They live as long as the field and grow
-    with the number of distinct keys.  All values are immutable and operations
-    are pure; instances are safe to share across threads (the memo caches are
-    idempotent dict writes).
+    The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c1 and _c2 (filled
+    by ydspace._c1 and ydspace._c2) and _inv (filled by CycNum.inv).  They
+    live as long as the field and grow with the number of distinct keys.  All
+    values are immutable and operations are pure; instances are safe to share
+    across threads (the memo caches are idempotent dict writes).
     """
 
     def __init__(self, p: int):
@@ -236,6 +244,8 @@ class CycField:
         self._qint = {}
         self._qfact = {0: self.one}
         self._qbinom = {}
+        self._xi_pow = {0: self.one, 1: self.one - self.q_pow(2)}
+        self._c1 = {}
         self._c2 = {}
         self._inv = {}
 
@@ -333,7 +343,17 @@ class CycField:
 
     def xi(self) -> CycNum:
         """xi = 1 - q^2, the normalization of the adjoint action of F."""
-        return self.one - self.q_pow(2)
+        return self.xi_pow(1)
+
+    def xi_pow(self, r: int) -> CycNum:
+        """xi^r for r >= 0."""
+        v = self._xi_pow.get(r)
+        if v is None:
+            if r < 0:
+                raise ValueError("xi_pow needs r >= 0")
+            v = self.xi_pow(r - 1) * self._xi_pow[1]
+            self._xi_pow[r] = v
+        return v
 
     def __repr__(self):
         return f"CycField(p={self.p})"

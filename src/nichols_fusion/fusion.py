@@ -71,7 +71,7 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
             coef = (
                 pre
                 * K.q_pow(2 * j * (j - 1) - 2 * b * j)
-                * K.xi() ** (n - j)
+                * K.xi_pow(n - j)
                 * K.q_binom(n, j)
                 * K.q_binom(s + t - j, s)
             )
@@ -96,7 +96,7 @@ def monodromy_display_full(K: CycField, a: int, b: int, s: int, t: int) -> dict:
                 e = a * b + 2 * j * (j - 1) + (i - n - 1) * (i - n) - 2 * b * j + a * (n - 2 * i - t)
                 coef = (
                     K.q_pow(e)
-                    * K.xi() ** (i - j)
+                    * K.xi_pow(i - j)
                     * K.q_binom(i, j)
                     * K.q_binom(s + t - j, s)
                     * K.q_binom(s + t - n, i - n)

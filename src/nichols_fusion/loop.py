@@ -62,11 +62,10 @@ def dual_identification_one_vertex(K: CycField, a: int, s: int):
 
 
 def dual_act_U(K: CycField, a: int, r: int, s: int) -> CycNum:
-    """Coefficient of U^a_{s-r} in F(r) U^a_s (the induced action on the dual)."""
-    coef = K.q_pow(r * (r - 1) - r * a - 2 * r * s) * K.q_binom(s, r) * (-K.xi()) ** r
-    for t in range(s - r, s):
-        coef = coef * K.q_int(t + a)
-    return coef
+    """Coefficient of U^a_{s-r} in F(r) U^a_s (the induced action on the dual):
+    q^{r(r-1) - ra - 2rs} (-1)^r times the one-vertex coefficient c1(-a, s-r, r)."""
+    coef = K.q_pow(r * (r - 1) - r * a - 2 * r * s) * yds._c1(K, -a, s - r, r)
+    return -coef if r % 2 else coef
 
 
 def dual_coact_U(K: CycField, a: int, s: int):
@@ -132,13 +131,11 @@ def sigma2(K: CycField, v: dict) -> dict:
 
 
 def sigma2_scalar_one_vertex(K: CycField, a: int, t: int) -> CycNum:
-    """sigma_2 is diagonal on one-vertex vectors; the V^a_t eigenvalue."""
+    """sigma_2 is diagonal on one-vertex vectors; the V^a_t eigenvalue
+    sum_r A(r) c1(a, t-r, r), with A(r) the antipode coefficient."""
     total = K.zero
     for r in range(t + 1):
-        coef = nichols.antipode_coeff(K, r) * K.q_binom(t, r) * K.xi() ** r
-        for i in range(t - r, t):
-            coef = coef * K.q_int(i - a)
-        total = total + coef
+        total = total + nichols.antipode_coeff(K, r) * yds._c1(K, a, t - r, r)
     return total
 
 

@@ -27,15 +27,33 @@ class CheckResult:
 
 
 def _check(results, name, pairs):
-    count = 0
-    ok = True
-    detail = ""
-    for label, good in pairs:
+    """Record one check over its (label, good) instances, counting every
+    failing one.
+
+    A VerificationError raised by the instance generator counts as one more
+    failing instance and ends the check; its message goes into the detail.
+    """
+    count = failing = 0
+    first = stop = None
+    try:
+        for label, good in pairs:
+            count += 1
+            if not good:
+                failing += 1
+                if first is None:
+                    first = label
+    except yds.VerificationError as exc:
         count += 1
-        if not good and ok:
-            ok = False
-            detail = f"first failure: {label}"
-    results.append(CheckResult(name, ok, count, detail))
+        failing += 1
+        stop = f"instance {count} raised: {exc}"
+        if first is None:
+            first = f"instance {count}"
+    detail = ""
+    if failing:
+        detail = f"first failure: {first} ({failing} failing)"
+        if stop:
+            detail += f"; {stop}"
+    results.append(CheckResult(name, not failing, count, detail))
 
 
 def suite_hopf(p: int):

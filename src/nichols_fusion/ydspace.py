@@ -121,21 +121,32 @@ def _put(K, out, bv, coef):
     """Insert a term, dropping out-of-range cross counts.
 
     The closed forms only ever emit s_i >= p together with a vanishing
-    q-binomial; assert that, as a transcription check.
+    q-binomial; a nonzero coefficient there is a transcription defect and
+    raises VerificationError.
     """
     if any(s >= K.p for s in bv.crosses):
-        assert coef.is_zero(), f"nonzero coefficient on out-of-range {bv}"
+        if not coef.is_zero():
+            raise VerificationError(f"nonzero coefficient on out-of-range {bv}")
         return
     if not coef.is_zero():
         add_term(out, bv, coef)
 
 
 def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
-    """Coefficient of F(r) |> V^a_s (the one-vertex closed form)."""
-    coef = K.q_binom(r + s, r) * K.xi() ** r
-    for i in range(s, s + r):
-        coef = coef * K.q_int(i - a)
-    return coef
+    """Coefficient of F(r) |> V^a_s (the one-vertex closed form); memoized on
+    the field.
+
+    Depends on a only through the q-integers [i - a], and [n] depends only on
+    n mod p (q^{2p} = zeta^{4p} = 1), so the cache is keyed by (a mod p, s, r).
+    """
+    key = (a % K.p, s, r)
+    v = K._c1.get(key)
+    if v is None:
+        v = K.q_binom(r + s, r) * K.xi_pow(r)
+        for i in range(s, s + r):
+            v = v * K.q_int(i - a)
+        K._c1[key] = v
+    return v
 
 
 def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
@@ -146,7 +157,7 @@ def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
     key = (a % (2 * K.p), b % K.p, s, t, r, u)
     v = K._c2.get(key)
     if v is None:
-        v = K.xi() ** r * K.q_pow(u * (2 * s - a))
+        v = K.xi_pow(r) * K.q_pow(u * (2 * s - a))
         v = v * K.q_binom(s + r - u, r - u) * K.q_binom(t + u, u)
         for i in range(u, r):
             v = v * K.q_int(s + i + 2 * t - a - b)
@@ -392,7 +403,7 @@ def ribbon(K: CycField, v: dict) -> dict:
             x = a + b - 2 * t
             pre = c * K.zeta_pow(x * (x + 2))
             for i in range(s + 1):
-                coef = pre * K.q_pow(-i * a) * K.xi() ** i * K.q_binom(t + i, i)
+                coef = pre * K.q_pow(-i * a) * K.xi_pow(i) * K.q_binom(t + i, i)
                 for j in range(i):
                     coef = coef * K.q_int(t + j - b)
                 _put(K, out, BasisVector(bv.charges, (s - i, t + i)), coef)

@@ -2,6 +2,7 @@ import json
 import io
 import contextlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -158,7 +159,20 @@ def test_loop_defect_is_a_fail_line(monkeypatch):
     monkeypatch.setattr(lp, "sigma2_scalar_one_vertex", broken)
     code, out = run_cli(["verify", "--p", "3", "--suite", "loop"])
     assert code == 2
-    assert "FAIL loop.chi_scalar_on_simples " in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("FAIL loop.chi_scalar_on_simples "))
+    failing = re.search(r"\((\d+) failing\)", line)
+    assert failing and int(failing.group(1)) > 1, line
+
+
+def test_braiding_defect_is_a_fail_line(monkeypatch):
+    # a one-vertex coefficient without its vanishing q-binomial lands on s >= p
+    from nichols_fusion import ydspace as yds
+
+    monkeypatch.setattr(yds, "_c1", lambda K, a, s, r: K.one)
+    code, out = run_cli(["verify", "--p", "3", "--suite", "braiding"])
+    assert code == 2
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL braiding.")]
+    assert any("raised: nonzero coefficient on out-of-range" in ln for ln in fails), out
 
 
 def test_code_change_misses_the_cache(tmp_path):

@@ -104,6 +104,27 @@ def test_xi_and_inverse():
     assert abs(abs(field(3).xi().evalf()) - 1.7320508) < 1e-6
 
 
+def test_xi_pow_equals_power():
+    for p in range(2, 8):
+        K = CycField(p)
+        for r in reversed(range(2 * p)):  # fill the memo out of order
+            assert K.xi_pow(r) == K.xi() ** r
+        assert K.xi() == K.one - K.q_pow(2)
+    with pytest.raises(ValueError):
+        K.xi_pow(-1)
+
+
+def test_multiply_by_one_returns_an_equal_value():
+    K = field(5)
+    x = K.from_fraction(Fraction(2, 3)) * K.zeta_pow(1) + K.one
+    assert x.den == 3
+    for one in (K.one, K.from_int(1)):
+        for y in (x, K.zero, K.one):
+            for got in (y * one, one * y):
+                assert got == y and hash(got) == hash(y)
+                assert (got.num, got.den) == (y.num, y.den)
+
+
 def test_inv_of_one_and_zero():
     K = field(3)
     assert K.one.inv() == K.one

@@ -35,6 +35,37 @@ def test_sigma2_examples():
         assert lp.sigma2_scalar_one_vertex(K, a, 1) == want
 
 
+def _sigma2_scalar_loop(K, a, t):
+    # reference: the sigma_2 eigenvalue as its own product loop, without yds._c1
+    from nichols_fusion import nichols as ni
+
+    total = K.zero
+    for r in range(t + 1):
+        coef = ni.antipode_coeff(K, r) * K.q_binom(t, r) * K.xi() ** r
+        for i in range(t - r, t):
+            coef = coef * K.q_int(i - a)
+        total = total + coef
+    return total
+
+
+def _dual_act_U_loop(K, a, r, s):
+    # reference: the dual action coefficient as its own product loop, without yds._c1
+    coef = K.q_pow(r * (r - 1) - r * a - 2 * r * s) * K.q_binom(s, r) * (-K.xi()) ** r
+    for t in range(s - r, s):
+        coef = coef * K.q_int(t + a)
+    return coef
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_one_vertex_scalars_equal_their_product_loops(p):
+    K = cyclotomic_field(p)
+    for a in range(-2 * p, 4 * p):
+        for s in range(p):
+            assert lp.sigma2_scalar_one_vertex(K, a, s) == _sigma2_scalar_loop(K, a, s)
+            for r in range(p):
+                assert lp.dual_act_U(K, a, r, s) == _dual_act_U_loop(K, a, r, s), (a, r, s)
+
+
 def test_sigma2_identity_on_coinvariants_two_vertex():
     K = cyclotomic_field(3)
     v = {yds.two_vertex(1, 2, 0, 1): K.one}

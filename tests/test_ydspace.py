@@ -1,6 +1,6 @@
 import pytest
 
-from nichols_fusion.cyclo import cyclotomic_field
+from nichols_fusion.cyclo import CycField, cyclotomic_field
 from nichols_fusion import nichols as ni
 from nichols_fusion import ydspace as yds
 from nichols_fusion.ydspace import one_vertex, two_vertex, three_vertex, _c2
@@ -85,6 +85,34 @@ def test_one_vertex_action_matrix_depends_on_a_mod_p(p):
                 assert {bv.crosses: c for bv, c in lhs.items()} == {
                     bv.crosses: c for bv, c in rhs.items()
                 }
+
+
+def _c1_direct(K, a, s, r):
+    coef = K.q_binom(r + s, r) * K.xi() ** r
+    for i in range(s, s + r):
+        coef = coef * K.q_int(i - a)
+    return coef
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_c1_memo_equals_direct_product(p):
+    # the memo is keyed by a mod p; every a in [-2p, 4p) must still get its own value
+    K = CycField(p)  # a private field, so the first pass starts from an empty memo
+    keys = [(a, s, r) for a in range(-2 * p, 4 * p) for s in range(p) for r in range(p)]
+    for _ in ("cold", "warm"):
+        for a, s, r in keys:
+            assert yds._c1(K, a, s, r) == _c1_direct(K, a, s, r), (a, s, r)
+        assert len(K._c1) == p ** 3
+
+
+def test_c1_memo_is_per_field():
+    # phi(20) = phi(24) = 8, and the key (0, 1, 1) is the same in both fields
+    K5, K6 = CycField(5), CycField(6)
+    v5 = yds._c1(K5, 0, 1, 1)
+    v6 = yds._c1(K6, 0, 1, 1)
+    assert v5.field is K5 and v6.field is K6
+    assert v5 == _c1_direct(K5, 0, 1, 1) and v6 == _c1_direct(K6, 0, 1, 1)
+    assert v5.num != v6.num
 
 
 def test_coact_examples():
