@@ -13,7 +13,8 @@ automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 Each CycField memoizes what is computed over and over: the q-integers,
 q-factorials and q-binomials (_qint, _qfact, _qbinom), the powers of
 xi = 1 - q^2 (_xi_pow), the one- and two-vertex action coefficients of
-ydspace (_c1, _c2), and every inverse computed so far (_inv, keyed by the
+ydspace (_c1, _c2), the loop operator's partial-trace table (_loop_W,
+_loop_T), and every inverse computed so far (_inv, keyed by the
 operand's (num, den)), so a repeated inverse costs one dict lookup.
 Multiplying by 1 returns the other operand unchanged, without a convolution.
 
@@ -209,10 +210,12 @@ class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
     The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c1 and _c2 (filled
-    by ydspace._c1 and ydspace._c2) and _inv (filled by CycNum.inv).  They
-    live as long as the field and grow with the number of distinct keys.  All
-    values are immutable and operations are pure; instances are safe to share
-    across threads (the memo caches are idempotent dict writes).
+    by ydspace._c1 and ydspace._c2), _loop_W and _loop_T (the loop weights and
+    partial traces, filled by loop._loop_weights and loop._loop_trace) and
+    _inv (filled by CycNum.inv).  They live as long as the field and grow with
+    the number of distinct keys.  All values are immutable and operations are
+    pure; instances are safe to share across threads (the memo caches are
+    idempotent dict writes).
     """
 
     def __init__(self, p: int):
@@ -247,6 +250,8 @@ class CycField:
         self._xi_pow = {0: self.one, 1: self.one - self.q_pow(2)}
         self._c1 = {}
         self._c2 = {}
+        self._loop_W = {}
+        self._loop_T = {}
         self._inv = {}
 
     def _make(self, vec, den) -> CycNum:

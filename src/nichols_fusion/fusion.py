@@ -159,16 +159,18 @@ def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
     ech = Echelon(K)
     for s in range(r1):
         for t in range(r2):
-            grew = ech.add(fusion_map_basis(K, yds.one_vertex(a, s), yds.one_vertex(b, t)))
-            assert grew, "fusion map failed to be injective"
-    assert ech.rank == r1 * r2
+            if not ech.add(fusion_map_basis(K, yds.one_vertex(a, s), yds.one_vertex(b, t))):
+                raise yds.VerificationError("fusion map failed to be injective")
+    if ech.rank != r1 * r2:
+        raise yds.VerificationError(f"fused image has rank {ech.rank}, not {r1 * r2}")
 
     found = [
         u
         for u in range(p)
         if ech.contains({yds.two_vertex(a, b, 0, u): K.one})
     ]
-    assert found == list(range(min(a % p, b % p) + 1)), (found, a, b)
+    if found != list(range(min(a % p, b % p) + 1)):
+        raise yds.VerificationError(f"left coinvariants u = {found} in the image at a={a}, b={b}")
 
     summands = []
     total = 0
@@ -180,13 +182,16 @@ def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
             total += d.r
         elif d.kind == "L":
             # the L extends inside the image: its top vector is present
-            assert ech.contains(top_extension_vector(K, a, b, u, d.r))
+            if not ech.contains(top_extension_vector(K, a, b, u, d.r)):
+                raise yds.VerificationError(f"L[{d.r}] at u={u} does not extend inside the image")
             summands.append(ModuleDescriptor("P", p - d.r, (d.nu + 1) % 4))
             total += 2 * p
             ls.add((u, d.r))
-        else:  # a bottom B(r) is the partner of the L[p-r] found p-r steps up
-            assert (u - (p - d.r), p - d.r) in ls, (u, d, ls)
-    assert total == r1 * r2, (total, r1, r2)
+        elif (u - (p - d.r), p - d.r) not in ls:
+            # a bottom B(r) is the partner of the L[p-r] found p-r steps up
+            raise yds.VerificationError(f"B[{d.r}] at u={u} has no L partner in {sorted(ls)}")
+    if total != r1 * r2:
+        raise yds.VerificationError(f"summands have dimension {total}, not {r1 * r2}")
     return _sorted(summands)
 
 

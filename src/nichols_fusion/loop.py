@@ -15,9 +15,19 @@ double-braid Y past Z, apply the ribbon map and the squared relative antipode
 sigma_2 to Z, braid Z past its dual with the plain diagonal braiding, and
 evaluate.  On a simple Y the result is a scalar lambda; on a P module it is
 lambda plus a nilpotent mu part mapping the top floor onto the bottom one.
+
+chi_apply evaluates this diagram as a partial trace over Z.  The evaluation
+pairs the Z leg with u_s only where it came back to its starting cross count
+s, so of B^2(y (x) z_s) only the z-diagonal block is needed: the second
+braiding must hand back to y exactly the F(g) that the first one pushed onto
+z.  Everything that then happens to z_s is one scalar per (b, g, ch(y_g)),
+memoized on the field.  chi_apply_first_form composes the full maps of the
+first diagram instead and is kept as the independent oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .cyclo import CycField, CycNum, cyclotomic_field
 from . import ydspace as yds
@@ -147,32 +157,80 @@ def ribbon_scalar_one_vertex(K: CycField, a: int) -> CycNum:
     return K.zeta_pow(a * (a + 2))
 
 
+def _loop_weights(K: CycField, b: int) -> tuple:
+    """(s, ch(z_s), W_s) for each coevaluation term z_s (x) u_s of X^b, where
+
+        W_s = theta_b * sigma_2(b, s) * zeta^{ch(z_s) ch(u_s)} * coev_s * <u_s, z_s>
+
+    is everything the loop diagram does to z_s after the double braiding;
+    memoized on the field (K._loop_W, keyed by b).
+    """
+    w = K._loop_W.get(b)
+    if w is None:
+        theta = ribbon_scalar_one_vertex(K, b)
+        w = []
+        for zbv, uvec in coev_one_vertex(K, b):
+            ((ubv, ucoef),) = uvec.items()
+            s = zbv.crosses[0]
+            coef = theta * sigma2_scalar_one_vertex(K, b, s) * K.zeta_pow(zbv.charge * ubv.charge)
+            w.append((s, zbv.charge, coef * ucoef * ev_one_vertex(K, ubv, zbv)))
+        w = K._loop_W[b] = tuple(w)
+    return w
+
+
+def _loop_trace(K: CycField, b: int, g: int, c: int) -> CycNum:
+    """T_b(g, c) = sum_{s+g<p} W_s q^{c ch(z_s)} c1(b, s, g): the z-diagonal
+    block of B^2 against X^b, for a y leg of charge c that gave F(g) to z;
+    memoized on the field (K._loop_T).
+
+    c enters only through q^{c ch(z_s)}, and q^{2p} = 1, so the cache is keyed
+    by (b, g, c mod 2p).
+    """
+    key = (b, g, c % (2 * K.p))
+    v = K._loop_T.get(key)
+    if v is None:
+        v = K.zero
+        for s, ch, w in _loop_weights(K, b):
+            if s + g < K.p:
+                v = v + w * K.q_pow(c * ch) * yds._c1(K, b, s, g)
+        K._loop_T[key] = v
+    return v
+
+
 def chi_apply(K: CycField, y: dict, b: int) -> dict:
     """chi of the loop module Z = X^b applied to an ambient vector y.
 
     Second form of the loop diagram: coev, B^2, ribbon, sigma_2, diagonal
-    braiding against the dual, evaluate.  Works for y in any implemented
-    sector (one- or two-vertex), so P modules can be run through it directly.
+    braiding against the dual, evaluate; taken as a partial trace over Z.
+    The first B sends y (x) z_s to sum_g zeta^{ch(y_g) ch(z_s)} c1(b, s, g)
+    z_{s+g} (x) y_g, with delta y = F(g) (x) y_g.  The second B lets z_{s+g}
+    hand F(k) back to y_g and leaves z_{s+g-k}; ev pairs that with u_s only
+    if s+g-k = s, so only k = g survives, and
+
+        chi(y) = sum_{g} T_b(g, ch(y_g)) F(g) |> y_g
+
+    with T_b from _loop_trace.  Works for y in any implemented sector (one- or
+    two-vertex), so P modules can be run through it directly.
     """
-    p = K.p
-    theta = ribbon_scalar_one_vertex(K, b)
-    sig = {t: sigma2_scalar_one_vertex(K, b, t) for t in range(p)}
-    out = {}
-    for zbv, uvec in coev_one_vertex(K, b):
-        (ubv, ucoef) = next(iter(uvec.items()))
-        uch = ubv.charge
-        for (by, bz), c in yds.braid_B2(K, {(key, zbv): cy for key, cy in y.items()}).items():
-            tz = bz.crosses[0]
-            coef = c * theta * sig[tz] * K.zeta_pow(bz.charge * uch)
-            coef = coef * ucoef * ev_one_vertex(K, ubv, bz)
-            if not coef.is_zero():
-                yds.add_term(out, by, coef)
-    return out
+
+    def image(bv):
+        out = {}
+        for g, wy in yds.coact_basis(bv):
+            t = _loop_trace(K, b, g, wy.charge)
+            if t.is_zero():
+                continue
+            for bw, d in yds.act_Fr_basis(K, g, wy).items():
+                yds.add_term(out, bw, t * d)
+        return out
+
+    return yds.linear_extend(image, y)
 
 
 def chi_apply_first_form(K: CycField, y: dict, b: int) -> dict:
     """The same loop evaluated from the first diagram (category braiding B
-    between Z and its dual instead of sigma_2); cross-check only."""
+    between Z and its dual instead of sigma_2), composing the full B^2 and B
+    before evaluating.  The independent oracle for chi_apply; cross-check only.
+    """
     theta = ribbon_scalar_one_vertex(K, b)
     out = {}
     for zbv, uvec in coev_one_vertex(K, b):
@@ -276,26 +334,41 @@ def chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int, check_commute
     return lam
 
 
-def chi_on_p_module(K: CycField, a: int, t: int, b_label: int, r: int, nu: int):
-    """chi of Z = X(r)_nu on the P module with leftmost coinvariant (a, t, b).
+class PModuleFrame(NamedTuple):
+    """A P module's basis as (tag, vector) pairs, with tags ("v", i) and
+    ("u", i) for the F^{i-1}-orbits v(i), u(i); the Echelon that reads a
+    vector's coordinates in those tags; and the module's descriptor."""
+
+    basis: list
+    ech: Echelon
+    desc: ModuleDescriptor
+
+
+def p_module_frame(K: CycField, a: int, t: int, b_label: int) -> PModuleFrame:
+    """The frame of the P module with leftmost coinvariant (a, t, b), built
+    once and shared by every Z run around that module."""
+    vs, us, pdesc = p_module_basis(K, a, t, b_label)
+    tags = [("v", i + 1) for i in range(K.p)] + [("u", i + 1) for i in range(K.p)]
+    ech = Echelon(K)
+    for tag, w in zip(tags, vs + us):
+        ech.add(w, tag)
+    return PModuleFrame(list(zip(tags, vs + us)), ech, pdesc)
+
+
+def chi_on_p_module(K: CycField, frame: PModuleFrame, r: int, nu: int):
+    """chi of Z = X(r)_nu on the P module of a p_module_frame.
 
     Returns (lambda, mu) extracted from the full matrix; raises
     VerificationError unless the matrix equals lambda * id + mu * N, where N
     maps u(i) to v(r'+i) and kills the v chain (r' the left wing length).
     """
     p = K.p
-    vs, us, pdesc = p_module_basis(K, a, t, b_label)
-    rp = pdesc.r
+    rp = frame.desc.r
     zb = r - 1 - nu * p
-    ech = Echelon(K)
-    tags = [("v", i + 1) for i in range(p)] + [("u", i + 1) for i in range(p)]
-    for tag, w in zip(tags, vs + us):
-        ech.add(w, tag)
     lam = None
     mu = None
-    for idx, w in enumerate(vs + us):
-        tag = tags[idx]
-        coords = ech.coordinates(chi_apply(K, w, zb))
+    for tag, w in frame.basis:
+        coords = frame.ech.coordinates(chi_apply(K, w, zb))
         if coords is None:
             raise yds.VerificationError("chi left the P module")
         diag = coords.pop(tag, K.zero)
@@ -318,15 +391,16 @@ def chi_on_p_module(K: CycField, a: int, t: int, b_label: int, r: int, nu: int):
                     raise yds.VerificationError("nilpotent part of chi not uniform")
             elif coords:
                 raise yds.VerificationError(f"chi(u) has off-diagonal part: {coords}")
-    return lam, mu, pdesc
+    return lam, mu
 
 
-def verify_chi_on_P(K: CycField, a: int, t: int, b_label: int, r: int, nu: int) -> bool:
+def verify_chi_on_P(K: CycField, frame: PModuleFrame, r: int, nu: int) -> bool:
     """Full-matrix check of chi on a P module against the closed lambda, mu."""
     try:
-        lam, mu, pdesc = chi_on_p_module(K, a, t, b_label, r, nu)
+        lam, mu = chi_on_p_module(K, frame, r, nu)
     except yds.VerificationError:
         return False
+    pdesc = frame.desc
     want_lam = lambda_closed(K, pdesc.r, pdesc.nu, r, nu)
     want_mu = mu_closed(K, pdesc.r, pdesc.nu, r, nu)
     return lam == want_lam and mu == want_mu

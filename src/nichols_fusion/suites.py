@@ -542,9 +542,10 @@ def suite_loop(p: int):
         for (a, b, t), d in sorted(grid.items()):
             if d.kind != "L":
                 continue
+            frame = lp.p_module_frame(K, a, t, b)
             for r in range(1, p + 1):
                 for nu in (0, 1):
-                    yield (a, t, b, r, nu), lp.verify_chi_on_P(K, a, t, b, r, nu)
+                    yield (a, t, b, r, nu), lp.verify_chi_on_P(K, frame, r, nu)
 
     _check(out, "loop.chi_on_P_modules", on_p_modules())
 

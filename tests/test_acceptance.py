@@ -158,9 +158,9 @@ def test_criterion_8_duality():
             assert check.ok, check
 
 
-@criterion(9, "loop operator: lambda on simples and Steinberg, mu on P, p=2..4")
+@criterion(9, "loop operator: lambda on simples and Steinberg, mu on P, p=2..5")
 def test_criterion_9_loop():
-    for p in range(2, 5):
+    for p in range(2, 6):
         for check in suite_loop(p):
             assert check.ok, check
         K = cyclotomic_field(p)
@@ -180,14 +180,15 @@ def test_criterion_9_loop():
         for (a, b, t), d in sorted(grid.items()):
             if d.kind != "L":
                 continue
+            frame = lp.p_module_frame(K, a, t, b)
             for r in range(1, p + 1):
                 for nu in range(4):
-                    assert lp.verify_chi_on_P(K, a, t, b, r, nu)
+                    assert lp.verify_chi_on_P(K, frame, r, nu)
 
 
-@criterion(10, "multiplicativity chi_W o chi_Z = chi_{W x Z}, p=2..4")
+@criterion(10, "multiplicativity chi_W o chi_Z = chi_{W x Z}, p=2..5")
 def test_criterion_10_multiplicativity():
-    for p in range(2, 5):
+    for p in range(2, 6):
         for rw in range(1, p + 1):
             for nuw in range(4):
                 for rz in range(1, p + 1):

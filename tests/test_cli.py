@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from nichols_fusion import cli
+from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion.cli import main
 
 
@@ -157,6 +158,11 @@ def test_loop_defect_is_a_fail_line(monkeypatch):
         return out + K.one if t == 1 else out
 
     monkeypatch.setattr(lp, "sigma2_scalar_one_vertex", broken)
+    # the loop weights are memoized on the field: start from empty memos, so
+    # the defect reaches chi and its values do not outlive this test
+    K = cyclotomic_field(3)
+    monkeypatch.setattr(K, "_loop_W", {})
+    monkeypatch.setattr(K, "_loop_T", {})
     code, out = run_cli(["verify", "--p", "3", "--suite", "loop"])
     assert code == 2
     line = next(ln for ln in out.splitlines() if ln.startswith("FAIL loop.chi_scalar_on_simples "))
@@ -173,6 +179,38 @@ def test_braiding_defect_is_a_fail_line(monkeypatch):
     assert code == 2
     fails = [ln for ln in out.splitlines() if ln.startswith("FAIL braiding.")]
     assert any("raised: nonzero coefficient on out-of-range" in ln for ln in fails), out
+
+
+def test_fusion_extension_defect_is_a_fail_line(monkeypatch):
+    # an L -> P extension top vector that is not in the fused image breaks the
+    # fusion theorem; the FAIL line must not depend on python -O
+    from nichols_fusion import fusion as fu
+    from nichols_fusion import ydspace as yds
+
+    monkeypatch.setattr(
+        fu,
+        "top_extension_vector",
+        lambda K, a, b, u, r: {yds.two_vertex(a, b, K.p - 1, K.p - 1): K.one},
+    )
+    code, out = run_cli(["verify", "--p", "3", "--suite", "fusion"])
+    assert code == 2
+    assert "FAIL fusion.theorem_both_paths " in out
+
+    script = (
+        "import sys\n"
+        "from nichols_fusion import fusion as fu, ydspace as yds\n"
+        "fu.top_extension_vector = (\n"
+        "    lambda K, a, b, u, r: {yds.two_vertex(a, b, K.p - 1, K.p - 1): K.one})\n"
+        "from nichols_fusion.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "verify", "--p", "3", "--suite", "fusion", "--no-cache"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "FAIL fusion.theorem_both_paths " in proc.stdout
 
 
 def test_code_change_misses_the_cache(tmp_path):

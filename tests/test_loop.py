@@ -173,29 +173,48 @@ def test_chi_commutes_with_structure():
     lp.chi_on_simple(K, 1, 1, 2, 0, check_commute=True)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+def _p_module_vectors(K):
+    p = K.p
+    for (a, b, t), d in sorted(cl.classification_grid(p).items()):
+        if d.kind == "L":
+            vs, us, _ = cl.p_module_basis(K, a, t, b)
+            yield from vs + us
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
 def test_first_form_matches_second(p):
+    # the partial trace in chi_apply against the oracle that composes the full
+    # braidings, on every one-vertex and every P-module basis vector, with
+    # Z = X^b for b = r - 1 - nu*p over r = 1..p, nu = 0..3 (all four braiding
+    # sectors), and b = p
     K = cyclotomic_field(p)
-    y = {one_vertex(p - 1, 0): K.one}
-    for b in (0, 1, p, -1):
-        assert yds.vec_eq(lp.chi_apply(K, y, b), lp.chi_apply_first_form(K, y, b))
+    ys = [{one_vertex(a, s): K.one} for a in range(4 * p) for s in range(p)]
+    ys += list(_p_module_vectors(K))
+    nonzero = 0
+    for y in ys:
+        for b in range(-3 * p, p + 1):
+            img = lp.chi_apply(K, y, b)
+            assert yds.vec_eq(img, lp.chi_apply_first_form(K, y, b)), (y, b)
+            nonzero += bool(img)
+    assert nonzero > len(ys)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_chi_on_p_modules(p):
     K = cyclotomic_field(p)
     grid = cl.classification_grid(p)
     for (a, b, t), d in sorted(grid.items()):
         if d.kind != "L":
             continue
+        frame = lp.p_module_frame(K, a, t, b)
         for r in range(1, p + 1):
             for nu in (0, 1):
-                assert lp.verify_chi_on_P(K, a, t, b, r, nu)
+                assert lp.verify_chi_on_P(K, frame, r, nu)
 
 
 def test_verify_chi_on_P_example_p2():
     K = cyclotomic_field(2)
-    assert lp.verify_chi_on_P(K, 1, 0, 1, 2, 0)
+    assert lp.verify_chi_on_P(K, lp.p_module_frame(K, 1, 0, 1), 2, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])
