@@ -89,9 +89,11 @@ def classify_coinvariant(p: int, a: int, b: int, t: int) -> ModuleDescriptor:
     # split by whether the coinvariant sits at the bottom (t+r >= p) or at the
     # left wing (t+r <= p-1) of the indecomposable
     if t + r >= p:
-        assert t >= p - r + ap + 1 or p - r <= t <= ap
+        if not (t >= p - r + ap + 1 or p - r <= t <= ap):
+            raise yds.VerificationError(f"({a}, {b}, {t}) meets no B condition")
         return ModuleDescriptor("B", r, nu, labels)
-    assert t <= ap - r or ap + 1 <= t <= p - r - 1
+    if not (t <= ap - r or ap + 1 <= t <= p - r - 1):
+        raise yds.VerificationError(f"({a}, {b}, {t}) meets no L condition")
     return ModuleDescriptor("L", r, nu, labels)
 
 
@@ -135,21 +137,22 @@ def generate_submodule(K: CycField, coinv: BasisVector):
         if len(basis) > 1 and first_new_coinv is None and yds.is_coinvariant(v):
             first_new_coinv = len(basis) - 1
         if len(basis) > 2 * p:
-            raise AssertionError("orbit failed to terminate")
+            raise yds.VerificationError("orbit failed to terminate")
         v = yds.act_F(K, v)
     dim = len(basis)
     if coinv.nvertex == 1:
         a = coinv.charges[0]
-        desc = ModuleDescriptor("S" if dim == p else "X", dim, raw_nu(a, a % p + 1, p), (a,))
-        assert dim == a % p + 1
-        return basis, desc
+        if dim != a % p + 1:
+            raise yds.VerificationError(f"one-vertex orbit of {coinv} has length {dim}")
+        return basis, ModuleDescriptor("S" if dim == p else "X", dim, raw_nu(a, dim, p), (a,))
     a, b = coinv.charges
     t = coinv.crosses[1]
     a_eff = a + b - 2 * t
     labels = (a, t, b)
     if first_new_coinv is not None:
         kind, r = "L", first_new_coinv
-        assert dim == p
+        if dim != p:
+            raise yds.VerificationError(f"L orbit of {coinv} has length {dim}, not {p}")
     elif dim == p and (a_eff % p + 1) == p:
         kind, r = "S", p
     else:
@@ -194,13 +197,15 @@ def extend_to_V(K: CycField, desc: ModuleDescriptor):
     v = top
     while v:
         upper.append(v)
-        assert ech.add(v), "upper floor vector already in the submodule"
+        if not ech.add(v):
+            raise yds.VerificationError(f"upper floor vector of {desc} already in the submodule")
         v = yds.act_F(K, v)
-    assert len(basis) + len(upper) == p, (desc, len(basis), len(upper))
+    if len(basis) + len(upper) != p:
+        raise yds.VerificationError(f"{desc} extends to dimension {len(basis) + len(upper)}")
     # coaction closure: every coaction component of the extension stays inside
     for v in upper:
-        for _, comp in yds.coact(K, v):
-            assert ech.contains(comp)
+        if not all(ech.contains(comp) for _, comp in yds.coact(K, v)):
+            raise yds.VerificationError(f"the coaction leaves the extension of {desc}")
     return basis + upper, ModuleDescriptor("V", desc.r, desc.nu, desc.labels)
 
 
@@ -220,7 +225,8 @@ def extend_to_P(K: CycField, desc: ModuleDescriptor):
     a, t, b = desc.labels
     r = desc.r
     lower, check = generate_submodule(K, yds.two_vertex(a, b, 0, t))
-    assert check.kind == "L" and check.r == r
+    if (check.kind, check.r) != ("L", r):
+        raise yds.VerificationError(f"the orbit of {desc} generates {check}")
     ech = Echelon(K)
     for v in lower:
         ech.add(v)
@@ -228,21 +234,22 @@ def extend_to_P(K: CycField, desc: ModuleDescriptor):
     v = yds.scale(K, top_extension_vector(K, a, b, t, r), K.q_pow(a + b - 2 * t))
     while v:
         upper.append(v)
-        assert ech.add(v), "upper floor vector already in the L"
+        if not ech.add(v):
+            raise yds.VerificationError(f"upper floor vector of {desc} already in the L")
         v = yds.act_F(K, v)
-    assert len(lower) + len(upper) == 2 * p
+    if len(lower) + len(upper) != 2 * p:
+        raise yds.VerificationError(f"{desc} extends to dimension {len(lower) + len(upper)}")
     # delta u(1) must hit the left wing: its F(1)-component is proportional
     # to v(r) = F^{r-1} |> coinvariant
     comps = dict(yds.coact(K, upper[0]))
     vr = lower[r - 1]
     c1 = comps.get(1)
-    assert c1 is not None
     piv = next(iter(vr))
-    ratio = c1[piv] * vr[piv].inv()
-    assert yds.vec_eq(c1, yds.scale(K, vr, ratio))
+    if c1 is None or not yds.vec_eq(c1, yds.scale(K, vr, c1.get(piv, K.zero) * vr[piv].inv())):
+        raise yds.VerificationError(f"the coaction of u(1) misses the left wing of {desc}")
     for v in upper:
-        for _, comp in yds.coact(K, v):
-            assert ech.contains(comp)
+        if not all(ech.contains(comp) for _, comp in yds.coact(K, v)):
+            raise yds.VerificationError(f"the coaction leaves the extension of {desc}")
     return lower + upper, ModuleDescriptor("P", r, desc.nu, desc.labels)
 
 
@@ -305,7 +312,8 @@ def decompose_space(p: int, n: int):
         dim = p * counts.get(("S", p), 0) + sum(
             p * m for (k, r), m in counts.items() if k == "V"
         )
-        assert dim == p * p
+        if dim != p * p:
+            raise yds.VerificationError(f"one-vertex summands have dimension {dim}")
         return counts, dim
     if n != 2:
         raise ValueError("only the 1- and 2-vertex spaces decompose here")
@@ -320,17 +328,20 @@ def decompose_space(p: int, n: int):
             counts[("P", d.r)] = counts.get(("P", d.r), 0) + 1
             # the bottom partner B(p-r) must sit at t+r in the same column
             partner = grid[(a, b, t + d.r)]
-            assert partner.kind == "B" and partner.r == p - d.r, (a, b, t, d)
+            if (partner.kind, partner.r) != ("B", p - d.r):
+                raise yds.VerificationError(f"{d} at {(a, b, t)} has partner {partner}")
         else:
             b_count[d.r] = b_count.get(d.r, 0) + 1
     for r in range(1, p):
-        assert b_count.get(r, 0) == counts.get(("P", p - r), 0)
+        if b_count.get(r, 0) != counts.get(("P", p - r), 0):
+            raise yds.VerificationError(f"B[{r}] count differs from the P[{p - r}] count")
     dim = (
         p * counts.get(("S", p), 0)
         + sum(p * m for (k, r), m in counts.items() if k == "V")
         + sum(2 * p * m for (k, r), m in counts.items() if k == "P")
     )
-    assert dim == p**4
+    if dim != p**4:
+        raise yds.VerificationError(f"two-vertex summands have dimension {dim}")
     return counts, dim
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from .cyclo import cyclotomic_field
 from . import classify as cl
 from . import loop as lp
-from .fusion import fuse_simples
+from .fusion import FusionResult, fusion_table
 from .suites import run_suite, SUITES
 
 SCHEMA_VERSION = "nichols-fusion/1"
@@ -58,26 +58,18 @@ def scalar_json(x) -> dict:
 
 def _payload_fusion(p: int, nu_mod: int) -> dict:
     table = []
-    ok = True
-    nus = range(nu_mod)
-    for r1 in range(1, p + 1):
-        for nu1 in nus:
-            for r2 in range(1, p + 1):
-                for nu2 in nus:
-                    try:
-                        res = fuse_simples(p, r1, nu1, r2, nu2)
-                        summands = [
-                            {"kind": d.kind, "r": d.r, "nu": d.nu % nu_mod}
-                            for d in res.summands
-                        ]
-                        summands.sort(key=lambda d: (d["kind"], d["r"], d["nu"]))
-                        row = {"r1": r1, "nu1": nu1, "r2": r2, "nu2": nu2, "summands": summands}
-                    except AssertionError as exc:
-                        ok = False
-                        row = {"r1": r1, "nu1": nu1, "r2": r2, "nu2": nu2, "error": str(exc)}
-                    table.append(row)
+    for (r1, nu1, r2, nu2), res in fusion_table(p, range(nu_mod)).items():
+        row = {"r1": r1, "nu1": nu1, "r2": r2, "nu2": nu2}
+        if isinstance(res, FusionResult):
+            row["summands"] = sorted(
+                ({"kind": d.kind, "r": d.r, "nu": d.nu % nu_mod} for d in res.summands),
+                key=lambda d: (d["kind"], d["r"], d["nu"]),
+            )
+        else:
+            row["error"] = str(res)
+        table.append(row)
     return {"schema": SCHEMA_VERSION, "command": "fusion", "p": p, "nu_mod": nu_mod,
-            "ok": ok, "table": table}
+            "ok": not any("error" in row for row in table), "table": table}
 
 
 def _payload_decompose(p: int, vertices: int) -> dict:

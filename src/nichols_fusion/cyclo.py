@@ -62,7 +62,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
-            assert not any(rem)
+            # internal invariant, no mathematical claim under test: Phi_d
+            # divides x^n - 1 for every d | n
+            if any(rem):
+                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(poly)
 
 

@@ -17,6 +17,9 @@ fuse_simples computes X(r1)_{nu1} (x) X(r2)_{nu2} along two independent paths:
                 each one, check the L -> P extension top vector is present,
                 and verify the dimensions exhaust r1*r2.
 
+fusion_table runs fuse_simples once per ordered pair of simples; the fusion
+command and the fusion and ring suites read their pairs from it.
+
 The closed form labels a projective summand by its top subquotient, i.e.
 P[s]_nu has socle series X(s)_nu on top of X(p-s)_{nu-1} + X(p-s)_{nu+1} on
 top of X(s)_nu; the leftmost-coinvariant labels used by the classifier name
@@ -27,6 +30,7 @@ the summand P[p-r]_{m+1} before comparing.  Both paths must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cyclo import CycField, cyclotomic_field
 from . import ydspace as yds
@@ -205,3 +209,17 @@ def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> FusionResult:
             f"({r1},{nu1})x({r2},{nu2}): closed={closed}, brute={brute}"
         )
     return FusionResult(p, r1, nu1, r2, nu2, closed)
+
+
+def fusion_table(p: int, nus) -> dict:
+    """fuse_simples on every ordered pair of simples, keyed (r1, nu1, r2, nu2)
+    with r in [1, p] and nu in nus, in that nesting order (the fusion
+    command's row order).  A pair whose two paths disagree maps to its
+    VerificationError instead of a FusionResult."""
+    table = {}
+    for key in product(range(1, p + 1), nus, range(1, p + 1), nus):
+        try:
+            table[key] = fuse_simples(p, *key)
+        except yds.VerificationError as exc:
+            table[key] = exc
+    return table

@@ -93,33 +93,29 @@ def verify_ring(p: int) -> dict:
     }
 
 
-def verify_against_fusion(p: int) -> bool:
+def verify_against_fusion(p: int):
     """Module-level fusion (dimension data forgotten, nu taken mod 2) must
-    reproduce the ring product on every pair of simples."""
-    from .fusion import fuse_simples
+    reproduce the ring product: one (label, ok) per ordered pair of simples;
+    a pair whose two fusion paths disagree fails."""
+    from .fusion import FusionResult, fusion_table
 
-    for r1 in range(1, p + 1):
-        for nu1 in range(4):
-            for r2 in range(1, p + 1):
-                for nu2 in range(4):
-                    try:
-                        res = fuse_simples(p, r1, nu1, r2, nu2)
-                    except AssertionError:  # the two fusion paths disagree
-                        return False
-                    img: dict = {}
-                    for d in res.summands:
-                        for key, m in (
-                            p_expand(p, d.r, d.nu) if d.kind == "P" else {(d.r, d.nu % 2): 1}
-                        ).items():
-                            img[key] = img.get(key, 0) + m
-                    if img != ring_multiply(p, x_gen(p, r1, nu1), x_gen(p, r2, nu2)):
-                        return False
-    return True
+    for key, res in fusion_table(p, range(4)).items():
+        if not isinstance(res, FusionResult):
+            yield key, False
+            continue
+        img: dict = {}
+        for d in res.summands:
+            terms = p_expand(p, d.r, d.nu) if d.kind == "P" else {(d.r, d.nu % 2): 1}
+            for k, m in terms.items():
+                img[k] = img.get(k, 0) + m
+        r1, nu1, r2, nu2 = key
+        yield key, img == ring_multiply(p, x_gen(p, r1, nu1), x_gen(p, r2, nu2))
 
 
-def verify_against_lambda(p: int) -> bool:
+def verify_against_lambda(p: int):
     """Every simple Y defines a character X(r)_nu -> lambda(Y; r, nu) of the
-    ring (multiplicative on the diagonalizable quotient)."""
+    ring (multiplicative on the diagonalizable quotient): one (label, ok) per
+    (Y, g1, g2)."""
     from .cyclo import cyclotomic_field
     from .loop import lambda_closed
 
@@ -129,10 +125,7 @@ def verify_against_lambda(p: int) -> bool:
             lam = {(r, nu): lambda_closed(K, ry, nuy, r, nu) for (r, nu) in basis(p)}
             for g1 in basis(p):
                 for g2 in basis(p):
-                    lhs = lam[g1] * lam[g2]
                     rhs = K.zero
                     for key, m in ring_multiply(p, {g1: 1}, {g2: 1}).items():
                         rhs = rhs + K.from_int(m) * lam[key]
-                    if lhs != rhs:
-                        return False
-    return True
+                    yield (ry, nuy, *g1, *g2), lam[g1] * lam[g2] == rhs

@@ -135,5 +135,8 @@ def half_twist_oracle(K: CycField, r: int) -> CycNum:
         for i in range(block, 0, -1):
             word[i - 1], word[i] = word[i], word[i - 1]
             scalar = scalar * K.q_pow(2)
-    assert word == list(reversed(range(r)))
+    if word != list(reversed(range(r))):
+        from .ydspace import VerificationError  # ydspace imports this module
+
+        raise VerificationError(f"the half-twist word on {r} letters is not the reversal")
     return scalar if r % 2 == 0 else -scalar

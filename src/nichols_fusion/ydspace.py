@@ -1,7 +1,7 @@
 """Multivertex Yetter-Drinfeld modules over the rank-1 Nichols algebra.
 
 A basis vector carries n vertex charges (a_1, ..., a_n) and n cross counts
-(s_1, ..., s_n), 0 <= s_i <= p-1, n <= 3; it is the screened vertex operator
+(s_1, ..., s_n), 0 <= s_i <= p-1, n <= 2; it is the screened vertex operator
 with s_1 crosses, then vertex a_1, then s_2 crosses, then vertex a_2, and so
 on.  The B_p action is the cumulative left adjoint action, the coaction is
 deconcatenation up to the first vertex, and all braidings are diagonal with
@@ -15,9 +15,6 @@ Closed forms implemented here, with xi = 1 - q^2 and [n] the q-integers:
   two vertices  F(r) |> V^{a,b}_{s,t} = sum_u c^{a,b}_{s,t}(r,u) V^{a,b}_{s+r-u, t+u}
                 c^{a,b}_{s,t}(r,u) = xi^r q^{u(2s-a)} [s+r-u over r-u] [t+u over u]
                                      prod_{i=u}^{r-1} [s+i+2t-a-b] prod_{j=0}^{u-1} [t+j-b]
-
-  three vertices: the single-F action is the three-term cumulative form, and
-                F(r) acts as F^r / [r]!.
 
 Charges are stored as plain integers.  Reduction mod p (module-comodule data),
 mod 2p (action signs) and mod 4p (braiding) happens at the point of use.
@@ -40,8 +37,7 @@ class VerificationError(AssertionError):
     """A computed map breaks an identity the theory asserts.
 
     Raised explicitly, so ``python -O`` does not strip the check; verify
-    suites count it as a failing instance.  Subclassing AssertionError keeps
-    existing ``except AssertionError`` handlers working.
+    suites count it as a failing instance.
     """
 
 
@@ -65,10 +61,6 @@ def one_vertex(a: int, s: int) -> BasisVector:
 def two_vertex(a: int, b: int, s: int, t: int) -> BasisVector:
     """V^{a,b}_{s,t}: s crosses, vertex a, t crosses, vertex b."""
     return BasisVector((a, b), (s, t))
-
-
-def three_vertex(a, b, c, s, t, u) -> BasisVector:
-    return BasisVector((a, b, c), (s, t, u))
 
 
 def psi_scalar(K: CycField, v, w) -> CycNum:
@@ -168,7 +160,7 @@ def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
 
 
 def act_F_basis(K: CycField, bv: BasisVector) -> dict:
-    """Left adjoint action of F = F(1) on a basis vector (n <= 3)."""
+    """Left adjoint action of F = F(1) on a basis vector (n <= 2)."""
     a = bv.charges
     s = bv.crosses
     xi = K.xi()
@@ -182,25 +174,8 @@ def act_F_basis(K: CycField, bv: BasisVector) -> dict:
         _put(K, out, BasisVector(a, (s[0] + 1, s[1])), c1)
         c2 = xi * K.q_pow(2 * s[0] - a[0]) * K.q_int(s[1] - a[1]) * K.q_int(s[1] + 1)
         _put(K, out, BasisVector(a, (s[0], s[1] + 1)), c2)
-    elif n == 3:
-        c1 = xi * K.q_int(s[0] + 2 * s[1] + 2 * s[2] - a[0] - a[1] - a[2]) * K.q_int(s[0] + 1)
-        _put(K, out, BasisVector(a, (s[0] + 1, s[1], s[2])), c1)
-        c2 = (
-            xi
-            * K.q_pow(2 * s[0] - a[0])
-            * K.q_int(s[1] + 2 * s[2] - a[1] - a[2])
-            * K.q_int(s[1] + 1)
-        )
-        _put(K, out, BasisVector(a, (s[0], s[1] + 1, s[2])), c2)
-        c3 = (
-            xi
-            * K.q_pow(2 * s[0] + 2 * s[1] - a[0] - a[1])
-            * K.q_int(s[2] - a[2])
-            * K.q_int(s[2] + 1)
-        )
-        _put(K, out, BasisVector(a, (s[0], s[1], s[2] + 1)), c3)
     else:
-        raise ValueError("only 1-, 2- and 3-vertex sectors are supported")
+        raise ValueError("only 1- and 2-vertex sectors are supported")
     return out
 
 
@@ -227,14 +202,8 @@ def act_Fr_basis(K: CycField, r: int, bv: BasisVector) -> dict:
                 BasisVector(bv.charges, (s + r - u, t + u)),
                 _c2(K, a, b, s, t, r, u),
             )
-    elif n == 3:
-        # F(r) = F^r / [r]!; valid since [r]! is invertible for r <= p-1
-        v = {bv: K.q_fact(r).inv()}
-        for _ in range(r):
-            v = act_F(K, v)
-        out = v
     else:
-        raise ValueError("only 1-, 2- and 3-vertex sectors are supported")
+        raise ValueError("only 1- and 2-vertex sectors are supported")
     return out
 
 

@@ -206,9 +206,9 @@ def test_criterion_11_ring():
         rep = fr.verify_ring(p)
         assert all(v for k, v in rep.items() if k != "triples"), (p, rep)
     for p in range(2, 6):
-        assert fr.verify_against_fusion(p)
+        assert all(ok for _, ok in fr.verify_against_fusion(p))
     for p in range(2, 5):
-        assert fr.verify_against_lambda(p)
+        assert all(ok for _, ok in fr.verify_against_lambda(p))
 
 
 @criterion(12, "CLI determinism: verify --p 3 --suite all twice, byte-identical")

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from nichols_fusion import cli
-from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion.cli import main
 
 
@@ -126,6 +125,7 @@ def test_out_file(tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.usefixtures("fresh_fields")
 @pytest.mark.parametrize(
     "suite, check", [("fusion", "fusion.theorem_both_paths"), ("ring", "ring.matches_module_fusion")]
 )
@@ -147,6 +147,45 @@ def test_fusion_disagreement_is_a_fail_line(monkeypatch, suite, check):
     assert f"FAIL {check} " in out
 
 
+def test_fusion_disagreement_is_an_error_row(monkeypatch):
+    from nichols_fusion import fusion as fu
+
+    closed, bad = fu.fuse_closed, (2, 1, 1, 0)
+
+    def broken(p, *key):
+        out = closed(p, *key)
+        return out + out if key == bad else out
+
+    monkeypatch.setattr(fu, "fuse_closed", broken)
+    code, out = run_cli(["fusion", "--p", "2", "--nu-mod", "2"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False
+    errors = [r for r in data["table"] if "error" in r]
+    assert [(r["r1"], r["nu1"], r["r2"], r["nu2"]) for r in errors] == [bad]
+    assert "fusion paths disagree" in errors[0]["error"]
+    assert all("summands" in r for r in data["table"] if "error" not in r)
+
+
+def test_fusion_suite_fuses_each_pair_once(monkeypatch):
+    # both orders of a pair are read from one table: (4p)^2 calls, not twice that
+    from nichols_fusion import fusion as fu
+
+    calls = []
+    fuse = fu.fuse_simples
+
+    def counted(*args):
+        calls.append(args)
+        return fuse(*args)
+
+    monkeypatch.setattr(fu, "fuse_simples", counted)
+    code, out = run_cli(["verify", "--p", "3", "--suite", "fusion"])
+    assert code == 0, out
+    assert len(calls) == 144
+    assert len(set(calls)) == 144
+
+
+@pytest.mark.usefixtures("fresh_fields")
 def test_loop_defect_is_a_fail_line(monkeypatch):
     # sigma_2 wrong on the second floor makes chi non-scalar on simple modules
     from nichols_fusion import loop as lp
@@ -158,11 +197,6 @@ def test_loop_defect_is_a_fail_line(monkeypatch):
         return out + K.one if t == 1 else out
 
     monkeypatch.setattr(lp, "sigma2_scalar_one_vertex", broken)
-    # the loop weights are memoized on the field: start from empty memos, so
-    # the defect reaches chi and its values do not outlive this test
-    K = cyclotomic_field(3)
-    monkeypatch.setattr(K, "_loop_W", {})
-    monkeypatch.setattr(K, "_loop_T", {})
     code, out = run_cli(["verify", "--p", "3", "--suite", "loop"])
     assert code == 2
     line = next(ln for ln in out.splitlines() if ln.startswith("FAIL loop.chi_scalar_on_simples "))
@@ -170,6 +204,7 @@ def test_loop_defect_is_a_fail_line(monkeypatch):
     assert failing and int(failing.group(1)) > 1, line
 
 
+@pytest.mark.usefixtures("fresh_fields")
 def test_braiding_defect_is_a_fail_line(monkeypatch):
     # a one-vertex coefficient without its vanishing q-binomial lands on s >= p
     from nichols_fusion import ydspace as yds
@@ -181,6 +216,7 @@ def test_braiding_defect_is_a_fail_line(monkeypatch):
     assert any("raised: nonzero coefficient on out-of-range" in ln for ln in fails), out
 
 
+@pytest.mark.usefixtures("fresh_fields")
 def test_fusion_extension_defect_is_a_fail_line(monkeypatch):
     # an L -> P extension top vector that is not in the fused image breaks the
     # fusion theorem; the FAIL line must not depend on python -O

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nichols_fusion.cyclo import cyclotomic_field
@@ -135,3 +137,30 @@ def test_monodromy_display_full_does_not_match():
                     ):
                         mismatch += 1
     assert mismatch > 0
+
+
+def test_fusion_table_keys_in_row_order():
+    p = 3
+    table = fu.fusion_table(p, range(4))
+    assert list(table) == list(product(range(1, p + 1), range(4), range(1, p + 1), range(4)))
+    assert all(isinstance(res, fu.FusionResult) for res in table.values())
+
+
+def test_fusion_table_error_is_confined_to_its_pair(monkeypatch):
+    p, bad = 3, (2, 1, 3, 0)
+    clean = fu.fusion_table(p, range(4))
+    closed = fu.fuse_closed
+
+    def broken(p, *key):
+        out = closed(p, *key)
+        if key == bad:
+            out = tuple(fu.ModuleDescriptor(d.kind, d.r, (d.nu + 1) % 4) for d in out)
+        return out
+
+    monkeypatch.setattr(fu, "fuse_closed", broken)
+    table = fu.fusion_table(p, range(4))
+    assert isinstance(table[bad], yds.VerificationError)
+    assert "fusion paths disagree" in str(table[bad])
+    assert {k: v for k, v in table.items() if k != bad} == {
+        k: v for k, v in clean.items() if k != bad
+    }

@@ -64,9 +64,13 @@ def test_structure_constants_nonnegative_dimension_graded():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_against_module_fusion(p):
-    assert fr.verify_against_fusion(p)
+    checks = list(fr.verify_against_fusion(p))
+    assert len(checks) == (4 * p) ** 2
+    assert all(ok for _, ok in checks)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_against_lambda(p):
-    assert fr.verify_against_lambda(p)
+    checks = list(fr.verify_against_lambda(p))
+    assert len(checks) == 2 * p * (2 * p) ** 2
+    assert all(ok for _, ok in checks)

@@ -3,13 +3,12 @@ import pytest
 from nichols_fusion.cyclo import CycField, cyclotomic_field
 from nichols_fusion import nichols as ni
 from nichols_fusion import ydspace as yds
-from nichols_fusion.ydspace import one_vertex, two_vertex, three_vertex, _c2
+from nichols_fusion.ydspace import BasisVector, one_vertex, two_vertex, _c2
 
 
 def test_charges():
     assert one_vertex(3, 1).charge == 1
     assert two_vertex(2, 5, 1, 0).charge == 5
-    assert three_vertex(1, 1, 1, 1, 1, 1).charge == -3
 
 
 def test_psi_scalar_examples():
@@ -187,16 +186,6 @@ def test_yd_axiom_including_shifted_charges(p):
                 assert yds.yd_axiom_check(K, ni.f_elt(K, r), v)
 
 
-def test_yd_axiom_three_vertex():
-    K = cyclotomic_field(2)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                v = {three_vertex(a, b, c, 0, 1, 1): K.one}
-                for r in range(2):
-                    assert yds.yd_axiom_check(K, ni.f_elt(K, r), v)
-
-
 def test_yd_axiom_on_tensor_products():
     K = cyclotomic_field(2)
     for a in range(4):
@@ -272,7 +261,16 @@ def test_ribbon_examples():
                 assert got == {two_vertex(a, b, 0, t): K.zeta_pow(x * (x + 2))}
 
 
-def test_ribbon_unsupported_three_vertex():
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda K, bv: yds.act_F_basis(K, bv),
+        lambda K, bv: yds.act_Fr_basis(K, 1, bv),
+        lambda K, bv: yds.ribbon(K, {bv: K.one}),
+    ],
+    ids=["act_F_basis", "act_Fr_basis", "ribbon"],
+)
+def test_three_vertex_sector_is_unsupported(apply):
     K = cyclotomic_field(2)
     with pytest.raises(ValueError):
-        yds.ribbon(K, {three_vertex(0, 0, 0, 0, 0, 0): K.one})
+        apply(K, BasisVector((0, 0, 0), (0, 0, 0)))
