@@ -30,6 +30,7 @@ from . import classify as cl
 from . import loop as lp
 from .fusion import FusionResult, fusion_table
 from .suites import run_suite, SUITES
+from .ydspace import VerificationError
 
 SCHEMA_VERSION = "nichols-fusion/1"
 DEFAULT_MAX_P = 12
@@ -73,17 +74,18 @@ def _payload_fusion(p: int, nu_mod: int) -> dict:
 
 
 def _payload_decompose(p: int, vertices: int) -> dict:
-    counts, dim = cl.decompose_space(p, vertices)
+    head = {"schema": SCHEMA_VERSION, "command": "decompose", "p": p, "vertices": vertices}
+    try:
+        counts, dim = cl.decompose_space(p, vertices)
+        checks = cl.decompose_checks(p)
+    except VerificationError as exc:
+        return {**head, "ok": False, "error": str(exc)}
     summands = [
         {"kind": kind, "r": r, "mult": mult}
         for (kind, r), mult in sorted(counts.items())
     ]
-    checks = cl.decompose_checks(p)
     return {
-        "schema": SCHEMA_VERSION,
-        "command": "decompose",
-        "p": p,
-        "vertices": vertices,
+        **head,
         "summands": summands,
         "dimension": dim,
         "ok": bool(checks["one_vertex_ok"] and checks["two_vertex_ok"]),
@@ -191,6 +193,8 @@ def _render_pretty(payload: dict) -> str:
             lines.append(
                 f"X({row['r1']})_{row['nu1']} x X({row['r2']})_{row['nu2']} = {rhs}"
             )
+    elif cmd == "decompose" and "error" in payload:
+        lines.append(f"FAIL {payload['error']}")
     elif cmd == "decompose":
         for s in payload["summands"]:
             lines.append(f"{s['mult']} x {s['kind']}[{s['r']}]")

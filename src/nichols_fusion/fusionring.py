@@ -12,6 +12,8 @@ are dicts {(r, nu): int} with nu in {0, 1}.
 
 from __future__ import annotations
 
+from itertools import product
+
 
 def x_gen(p: int, r: int, nu: int) -> dict:
     if not 1 <= r <= p:
@@ -54,42 +56,44 @@ def basis(p: int):
 
 
 def verify_ring(p: int) -> dict:
-    """Commutativity and associativity over all ordered basis triples, the
-    unit, the simple-current square, the Z_2 grading, and positivity."""
+    """The ring axioms, per property an iterable of (label, ok) instances:
+    the unit, the simple-current square, the Z_2 action and positivity are
+    one instance each; commutativity and associativity are one instance per
+    ordered basis triple."""
     gens = basis(p)
-    unit_ok = all(ring_multiply(p, x_gen(p, 1, 0), {g: 1}) == {g: 1} for g in gens)
-    sc = ring_multiply(p, x_gen(p, 1, 1), x_gen(p, 1, 1))
-    simple_current_ok = sc == {(1, 0): 1}
-    # the Z_2 structure: multiplying by the simple current X(1)_1 shifts nu by
-    # one on every basis element (the P expansion itself mixes parities, so nu
-    # is not a grading of the expanded ring; the Z_2 symmetry is this action)
-    z2_ok = all(
-        ring_multiply(p, x_gen(p, 1, 1), {(r, nu): 1}) == {(r, (nu + 1) % 2): 1}
-        for (r, nu) in gens
-    )
-    comm_ok = True
-    assoc_ok = True
-    positive_ok = True
-    for g1 in gens:
-        for g2 in gens:
-            pr = ring_multiply(p, {g1: 1}, {g2: 1})
-            if pr != ring_multiply(p, {g2: 1}, {g1: 1}):
-                comm_ok = False
-            if any(m < 0 for m in pr.values()):
-                positive_ok = False
+    unit, current = x_gen(p, 1, 0), x_gen(p, 1, 1)
+
+    def mul(x, y):
+        return ring_multiply(p, x, y)
+
+    def triples(other):
+        # (g1 g2) g3 against the other side, for every ordered triple
+        for g1, g2 in product(gens, repeat=2):
+            pr = mul({g1: 1}, {g2: 1})
             for g3 in gens:
-                lhs = ring_multiply(p, pr, {g3: 1})
-                rhs = ring_multiply(p, {g1: 1}, ring_multiply(p, {g2: 1}, {g3: 1}))
-                if lhs != rhs:
-                    assoc_ok = False
+                yield (g1, g2, g3), mul(pr, {g3: 1}) == other(g1, g2, g3, pr)
+
     return {
-        "unit": unit_ok,
-        "simple_current": simple_current_ok,
-        "commutative": comm_ok,
-        "associative": assoc_ok,
-        "z2_action": z2_ok,
-        "positive": positive_ok,
-        "triples": 8 * p**3,
+        "unit": [("X(1)_0 g = g", all(mul(unit, {g: 1}) == {g: 1} for g in gens))],
+        "simple_current": [("X(1)_1^2 = X(1)_0", mul(current, current) == {(1, 0): 1})],
+        # at g1 = X(1)_0 this compares g2 g3 with g3 g2 for every pair
+        "commutative": triples(lambda g1, g2, g3, pr: mul({g3: 1}, pr)),
+        "associative": triples(lambda g1, g2, g3, pr: mul({g1: 1}, mul({g2: 1}, {g3: 1}))),
+        # the Z_2 structure: multiplying by the simple current X(1)_1 shifts nu
+        # by one on every basis element (the P expansion itself mixes parities,
+        # so nu is not a grading of the expanded ring; the Z_2 symmetry is this)
+        "z2_action": [(
+            "X(1)_1 X(r)_nu = X(r)_{nu+1}",
+            all(mul(current, {(r, nu): 1}) == {(r, (nu + 1) % 2): 1} for r, nu in gens),
+        )],
+        "positive": [(
+            "g1 g2 >= 0",
+            all(
+                m >= 0
+                for g1, g2 in product(gens, repeat=2)
+                for m in mul({g1: 1}, {g2: 1}).values()
+            ),
+        )],
     }
 
 

@@ -15,6 +15,8 @@ double-braid Y past Z, apply the ribbon map and the squared relative antipode
 sigma_2 to Z, braid Z past its dual with the plain diagonal braiding, and
 evaluate.  On a simple Y the result is a scalar lambda; on a P module it is
 lambda plus a nilpotent mu part mapping the top floor onto the bottom one.
+Both claims are checked as one identity, chi = lambda * id + mu * N, on every
+basis vector, with lambda and mu the closed forms (mu = 0 on a simple).
 
 chi_apply evaluates this diagram as a partial trace over Z.  The evaluation
 pairs the Z leg with u_s only where it came back to its starting cross count
@@ -27,13 +29,10 @@ first diagram instead and is kept as the independent oracle.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .cyclo import CycField, CycNum, cyclotomic_field
 from . import ydspace as yds
 from . import nichols
-from .classify import ModuleDescriptor, p_module_basis
-from .linalg import Echelon
+from .classify import ModuleDescriptor
 
 
 # ---------------------------------------------------------------------------
@@ -311,99 +310,37 @@ def _assert_commutes(K: CycField, y_basis, b: int):
             raise yds.VerificationError("chi does not commute with the coaction")
 
 
-def chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int, check_commute=False) -> CycNum:
-    """Run X(r)_nu around the loop on Y = X(r')_{nu'}; returns the scalar the
-    matrix must be, or raises VerificationError if it is not one."""
-    p = K.p
-    a = rp - 1 - nup * p
-    b = r - 1 - nu * p
-    basis = [{yds.one_vertex(a, s): K.one} for s in range(rp)]
-    lam = None
-    for s, w in enumerate(basis):
-        img = chi_apply(K, w, b)
-        keys = set(img)
-        if not keys <= {yds.one_vertex(a, s)}:
-            raise yds.VerificationError("chi not diagonal on a simple module")
-        val = img.get(yds.one_vertex(a, s), K.zero)
-        if lam is None:
-            lam = val
-        elif lam != val:
-            raise yds.VerificationError("chi not scalar on a simple module")
-    if check_commute:
-        _assert_commutes(K, basis, b)
-    return lam
-
-
-class PModuleFrame(NamedTuple):
-    """A P module's basis as (tag, vector) pairs, with tags ("v", i) and
-    ("u", i) for the F^{i-1}-orbits v(i), u(i); the Echelon that reads a
-    vector's coordinates in those tags; and the module's descriptor."""
-
-    basis: list
-    ech: Echelon
-    desc: ModuleDescriptor
-
-
-def p_module_frame(K: CycField, a: int, t: int, b_label: int) -> PModuleFrame:
-    """The frame of the P module with leftmost coinvariant (a, t, b), built
-    once and shared by every Z run around that module."""
-    vs, us, pdesc = p_module_basis(K, a, t, b_label)
-    tags = [("v", i + 1) for i in range(K.p)] + [("u", i + 1) for i in range(K.p)]
-    ech = Echelon(K)
-    for tag, w in zip(tags, vs + us):
-        ech.add(w, tag)
-    return PModuleFrame(list(zip(tags, vs + us)), ech, pdesc)
-
-
-def chi_on_p_module(K: CycField, frame: PModuleFrame, r: int, nu: int):
-    """chi of Z = X(r)_nu on the P module of a p_module_frame.
-
-    Returns (lambda, mu) extracted from the full matrix; raises
-    VerificationError unless the matrix equals lambda * id + mu * N, where N
-    maps u(i) to v(r'+i) and kills the v chain (r' the left wing length).
-    """
-    p = K.p
-    rp = frame.desc.r
-    zb = r - 1 - nu * p
-    lam = None
-    mu = None
-    for tag, w in frame.basis:
-        coords = frame.ech.coordinates(chi_apply(K, w, zb))
-        if coords is None:
-            raise yds.VerificationError("chi left the P module")
-        diag = coords.pop(tag, K.zero)
-        if lam is None:
-            lam = diag
-        elif lam != diag:
-            raise yds.VerificationError("diagonal part of chi not scalar on P")
-        if tag[0] == "v":
-            if coords:
-                raise yds.VerificationError(f"chi(v) has off-diagonal part: {coords}")
-        else:
-            i = tag[1]
-            if rp + i <= p:
-                if not set(coords) <= {("v", rp + i)}:
-                    raise yds.VerificationError(f"chi(u) leaves the nilpotent part: {coords}")
-                val = coords.get(("v", rp + i), K.zero)
-                if mu is None:
-                    mu = val
-                elif mu != val:
-                    raise yds.VerificationError("nilpotent part of chi not uniform")
-            elif coords:
-                raise yds.VerificationError(f"chi(u) has off-diagonal part: {coords}")
-    return lam, mu
-
-
-def verify_chi_on_P(K: CycField, frame: PModuleFrame, r: int, nu: int) -> bool:
-    """Full-matrix check of chi on a P module against the closed lambda, mu."""
+def _chi_is(K: CycField, b: int, lam: CycNum, terms) -> bool:
+    """chi of Z = X^b equals lam * id + N on a basis: chi(w) - lam * w == N(w)
+    for every (w, N(w)) in terms.  A VerificationError from chi_apply fails
+    the instance instead of ending the check."""
     try:
-        lam, mu = chi_on_p_module(K, frame, r, nu)
+        return all(
+            yds.vec_eq(yds.vec_sub(chi_apply(K, w, b), yds.scale(K, w, lam)), nw)
+            for w, nw in terms
+        )
     except yds.VerificationError:
         return False
-    pdesc = frame.desc
-    want_lam = lambda_closed(K, pdesc.r, pdesc.nu, r, nu)
-    want_mu = mu_closed(K, pdesc.r, pdesc.nu, r, nu)
-    return lam == want_lam and mu == want_mu
+
+
+def verify_chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int) -> bool:
+    """Z = X(r)_nu run around Y = X(r')_{nu'} is the scalar lambda_closed on
+    every basis vector V^a_s, s < r'."""
+    a = rp - 1 - nup * K.p
+    basis = [{yds.one_vertex(a, s): K.one} for s in range(rp)]
+    lam = lambda_closed(K, rp, nup, r, nu)
+    return _chi_is(K, r - 1 - nu * K.p, lam, ((w, {}) for w in basis))
+
+
+def verify_chi_on_P(K: CycField, vs, us, pdesc: ModuleDescriptor, r: int, nu: int) -> bool:
+    """chi of Z = X(r)_nu on the P module with basis v(1..p), u(1..p) (from
+    classify.p_module_basis) is lambda * id + mu * N, with lambda, mu the
+    closed forms and N u(i) = v(r'+i) for r'+i <= p, zero otherwise."""
+    p, rp = K.p, pdesc.r
+    lam = lambda_closed(K, rp, pdesc.nu, r, nu)
+    mu = mu_closed(K, rp, pdesc.nu, r, nu)
+    nil = [{}] * p + [yds.scale(K, vs[rp + i], mu) if rp + i < p else {} for i in range(p)]
+    return _chi_is(K, r - 1 - nu * p, lam, zip(vs + us, nil))
 
 
 def verify_multiplicativity(p: int, w, z, y) -> bool:

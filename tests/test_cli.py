@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -283,3 +284,81 @@ def test_source_digest_is_sha256():
     h.update(b"nichols")
     assert h.hexdigest() == hashlib.sha256(b"nichols").hexdigest()
     assert len(cli._source_digest()) == 64
+
+
+def _negated(fn):
+    return lambda K, *args: -fn(K, *args)
+
+
+def _negated_vector(fn):
+    return lambda K, *args: {key: -c for key, c in fn(K, *args).items()}
+
+
+def _extra_unit_at_2_3(fn):
+    def broken(p, r1, nu1, r2, nu2):
+        out = fn(p, r1, nu1, r2, nu2)
+        if (r1, r2) == (2, 3):
+            out[(1, 0)] = out.get((1, 0), 0) + 1
+        return out
+
+    return broken
+
+
+def _b_cells_as_x(fn):
+    def broken(p, a, b, t):
+        d = fn(p, a, b, t)
+        return replace(d, kind="X") if d.kind == "B" else d
+
+    return broken
+
+
+def _nu_shifted(fn):
+    return lambda p, *key: tuple(replace(d, nu=(d.nu + 1) % 4) for d in fn(p, *key))
+
+
+def _top_corner(fn):
+    from nichols_fusion import ydspace as yds
+
+    return lambda K, a, b, u, r: {yds.two_vertex(a, b, K.p - 1, K.p - 1): K.one}
+
+
+# (module, closed form, defect): each defect must cost at least one FAIL line
+MUTANTS = [
+    ("loop", "lambda_closed", _negated),
+    ("loop", "mu_closed", _negated),
+    ("fusionring", "_basis_product", _extra_unit_at_2_3),
+    ("classify", "classify_coinvariant", _b_cells_as_x),
+    ("ydspace", "_c2", _negated),
+    ("ydspace", "ribbon", _negated_vector),
+    ("fusion", "monodromy_closed_form", _negated_vector),
+    ("fusion", "fuse_closed", _nu_shifted),
+    ("fusion", "top_extension_vector", _top_corner),
+    ("nichols", "antipode_coeff", _negated),
+]
+
+
+@pytest.mark.usefixtures("fresh_fields")
+@pytest.mark.parametrize("module, name, defect", MUTANTS, ids=[m[1] for m in MUTANTS])
+def test_mutated_closed_form_is_a_fail_line(monkeypatch, module, name, defect):
+    import importlib
+
+    mod = importlib.import_module(f"nichols_fusion.{module}")
+    monkeypatch.setattr(mod, name, defect(getattr(mod, name)))
+    code, out = run_cli(["verify", "--p", "3", "--suite", "all"])
+    assert code == 2, out
+    assert any(ln.startswith("FAIL ") for ln in out.splitlines()), out
+
+
+@pytest.mark.usefixtures("fresh_fields")
+def test_decompose_defect_is_an_error_payload(monkeypatch):
+    # B cells reported as X leave an L without its B partner
+    from nichols_fusion import classify as cl
+
+    monkeypatch.setattr(cl, "classify_coinvariant", _b_cells_as_x(cl.classify_coinvariant))
+    code, out = run_cli(["decompose", "--p", "3"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False and "has partner" in data["error"]
+    code, out = run_cli(["decompose", "--p", "3", "--format", "pretty"])
+    assert code == 2
+    assert out.splitlines()[1].startswith("FAIL ")

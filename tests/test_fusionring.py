@@ -45,8 +45,13 @@ def test_out_of_range():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_verify_ring(p):
-    rep = fr.verify_ring(p)
-    assert all(v for k, v in rep.items() if k != "triples")
+    checks = {key: list(pairs) for key, pairs in fr.verify_ring(p).items()}
+    assert all(ok for pairs in checks.values() for _, ok in pairs)
+    triples = 8 * p**3
+    assert {key: len(pairs) for key, pairs in checks.items()} == {
+        "unit": 1, "simple_current": 1, "commutative": triples,
+        "associative": triples, "z2_action": 1, "positive": 1,
+    }
 
 
 def test_structure_constants_nonnegative_dimension_graded():

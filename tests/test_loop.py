@@ -156,21 +156,24 @@ def test_chi_scalar_on_simples(p):
         for nup in range(4):
             for r in range(1, p + 1):
                 for nu in range(4):
-                    lam = lp.chi_on_simple(K, rp, nup, r, nu)
-                    assert lam == lp.lambda_closed(K, rp, nup, r, nu)
+                    assert lp.verify_chi_on_simple(K, rp, nup, r, nu)
 
 
 def test_chi_unit_loop_is_identity():
     for p in (2, 3):
         K = cyclotomic_field(p)
         for rp in range(1, p + 1):
-            assert lp.chi_on_simple(K, rp, 0, 1, 0) == K.one
+            assert lp.lambda_closed(K, rp, 0, 1, 0) == K.one
+            assert lp.verify_chi_on_simple(K, rp, 0, 1, 0)
 
 
 def test_chi_commutes_with_structure():
     K = cyclotomic_field(2)
-    lp.chi_on_simple(K, 2, 0, 2, 1, check_commute=True)
-    lp.chi_on_simple(K, 1, 1, 2, 0, check_commute=True)
+    for rp, nup, r, nu in ((2, 0, 2, 1), (1, 1, 2, 0)):
+        assert lp.verify_chi_on_simple(K, rp, nup, r, nu)
+        a = rp - 1 - nup * K.p
+        basis = [{one_vertex(a, s): K.one} for s in range(rp)]
+        lp._assert_commutes(K, basis, r - 1 - nu * K.p)
 
 
 def _p_module_vectors(K):
@@ -206,15 +209,15 @@ def test_chi_on_p_modules(p):
     for (a, b, t), d in sorted(grid.items()):
         if d.kind != "L":
             continue
-        frame = lp.p_module_frame(K, a, t, b)
+        vs, us, pdesc = cl.p_module_basis(K, a, t, b)
         for r in range(1, p + 1):
             for nu in (0, 1):
-                assert lp.verify_chi_on_P(K, frame, r, nu)
+                assert lp.verify_chi_on_P(K, vs, us, pdesc, r, nu)
 
 
 def test_verify_chi_on_P_example_p2():
     K = cyclotomic_field(2)
-    assert lp.verify_chi_on_P(K, lp.p_module_frame(K, 1, 0, 1), 2, 0)
+    assert lp.verify_chi_on_P(K, *cl.p_module_basis(K, 1, 0, 1), 2, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])
