@@ -60,11 +60,6 @@ def raw_nu(a_eff: int, r: int, p: int) -> int:
     return (r - 1 - a_eff) // p
 
 
-def braiding_sector(a_eff: int, r: int, p: int) -> int:
-    """Canonical Z_4 representative of the braiding index."""
-    return raw_nu(a_eff, r, p) % 4
-
-
 def classify_one_vertex(p: int, a: int) -> ModuleDescriptor:
     r = a % p + 1
     nu = raw_nu(a, r, p)
@@ -287,12 +282,6 @@ def classification_grid(p: int):
         for b in range(p)
         for t in range(p)
     }
-
-
-def figure1_table(p: int = 5):
-    if p != 5:
-        raise ValueError("the reference table is stated at p = 5")
-    return classification_grid(5)
 
 
 def decompose_space(p: int, n: int):

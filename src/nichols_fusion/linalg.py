@@ -1,13 +1,53 @@
-"""Sparse exact row echelon over the cyclotomic field.
+"""Sparse vectors, and exact row echelon over the cyclotomic field.
 
-Vectors are sparse dicts {key: CycNum} with sortable keys.  Pivots are chosen
-at the smallest key of each row, which keeps elimination cheap for the
-triangular families produced by the fusion map.
+Every linear object in the package is a sparse dict {key: CycNum} holding only
+nonzero coefficients: elements of B_p, YDVec and TensorVec in ydspace, and the
+rows of an Echelon.  The vocabulary for them lives here, at the bottom of the
+import graph: add_term, linear_extend, scale, vec_sub and vec_eq.  ydspace
+re-exports it.
+
+Echelon pivots are chosen at the smallest key of each row, which keeps
+elimination cheap for the triangular families produced by the fusion map.
 """
 
 from __future__ import annotations
 
-from .ydspace import add_term
+from .cyclo import CycField, CycNum
+
+
+def add_term(vec: dict, key, coef: CycNum) -> None:
+    acc = vec.get(key)
+    coef = coef if acc is None else acc + coef
+    if coef.is_zero():
+        vec.pop(key, None)
+    else:
+        vec[key] = coef
+
+
+def linear_extend(basis_map, vec: dict) -> dict:
+    """sum_k c_k * basis_map(k): the linear extension of a map on basis keys."""
+    out = {}
+    for key, c in vec.items():
+        for bw, d in basis_map(key).items():
+            add_term(out, bw, c * d)
+    return out
+
+
+def scale(K: CycField, vec: dict, coef: CycNum) -> dict:
+    if coef.is_zero():
+        return {}
+    return {k: coef * c for k, c in vec.items()}
+
+
+def vec_sub(vec: dict, other: dict) -> dict:
+    out = dict(vec)
+    for k, c in other.items():
+        add_term(out, k, -c)
+    return out
+
+
+def vec_eq(a: dict, b: dict) -> bool:
+    return not vec_sub(a, b)
 
 
 class Echelon:

@@ -10,6 +10,10 @@ so evaluation and coevaluation stay inside the implemented sectors:
     <V^a_s, V^b_t>  = (-1)^s q^{-s^2+s(a-1)}  if s+t = p-1 and a+b = 2p-2 (mod 4p)
     coev(X^a)       = sum_s V^a_s (x) (-1)^{a+s} q^{(s+1)(s-a-2)} V^{2p-a-2}_{p-1-s}
 
+coev is the TensorVec {(V^a_s, U^{-a}_s): c} read off the dual identification,
+and ev pairs a TensorVec {(dual side, module side): c}; the loop weights, the
+first-form oracle and the duality suite all go through these two.
+
 The loop operator chi_Z runs Z along a loop around Y:  coevaluate Z,
 double-braid Y past Z, apply the ribbon map and the squared relative antipode
 sigma_2 to Z, braid Z past its dual with the plain diagonal braiding, and
@@ -49,17 +53,9 @@ def ev_one_vertex(K: CycField, u: yds.BasisVector, v: yds.BasisVector) -> CycNum
     return -coef if s % 2 else coef
 
 
-def coev_one_vertex(K: CycField, a: int):
-    """coev of X^a as a list of (V^a_s, dual vector realized on V-basis)."""
-    p = K.p
-    r = a % p + 1
-    out = []
-    for s in range(r):
-        coef = K.q_pow((s + 1) * (s - a - 2))
-        if (a + s) % 2:
-            coef = -coef
-        out.append((yds.one_vertex(a, s), {yds.one_vertex(2 * p - a - 2, p - 1 - s): coef}))
-    return out
+def ev(K: CycField, x: dict) -> CycNum:
+    """The evaluation extended bilinearly to a TensorVec {(dual side, module side): c}."""
+    return sum((c * ev_one_vertex(K, u, v) for (u, v), c in x.items()), K.zero)
 
 
 def dual_identification_one_vertex(K: CycField, a: int, s: int):
@@ -68,6 +64,13 @@ def dual_identification_one_vertex(K: CycField, a: int, s: int):
     if (a + s) % 2:
         coef = -coef
     return coef, yds.one_vertex(a - 2 + 2 * K.p, K.p - 1 - s)
+
+
+def coev_one_vertex(K: CycField, a: int) -> dict:
+    """coev of X^a as the TensorVec sum_s V^a_s (x) U^{-a}_s, each U^{-a}_s
+    realized on the V basis by dual_identification_one_vertex."""
+    duals = (dual_identification_one_vertex(K, -a, s) for s in range(a % K.p + 1))
+    return {(yds.one_vertex(a, s), u): c for s, (c, u) in enumerate(duals)}
 
 
 def dual_act_U(K: CycField, a: int, r: int, s: int) -> CycNum:
@@ -131,12 +134,11 @@ def dual_descriptor(p: int, desc: ModuleDescriptor) -> ModuleDescriptor:
 
 def sigma2(K: CycField, v: dict) -> dict:
     """sigma_2(z) = A(z_{(-1)}) |> z_{(0)}; identity on coinvariants."""
-    out = {}
-    for r, comp in yds.coact(K, v):
-        coef = nichols.antipode_coeff(K, r)
-        for bv, c in yds.act_Fr(K, r, comp).items():
-            yds.add_term(out, bv, coef * c)
-    return out
+
+    def image(bv):
+        return yds.act_by_coaction(K, bv, lambda g, _: nichols.antipode_coeff(K, g))
+
+    return yds.linear_extend(image, v)
 
 
 def sigma2_scalar_one_vertex(K: CycField, a: int, t: int) -> CycNum:
@@ -168,11 +170,10 @@ def _loop_weights(K: CycField, b: int) -> tuple:
     if w is None:
         theta = ribbon_scalar_one_vertex(K, b)
         w = []
-        for zbv, uvec in coev_one_vertex(K, b):
-            ((ubv, ucoef),) = uvec.items()
-            s = zbv.crosses[0]
-            coef = theta * sigma2_scalar_one_vertex(K, b, s) * K.zeta_pow(zbv.charge * ubv.charge)
-            w.append((s, zbv.charge, coef * ucoef * ev_one_vertex(K, ubv, zbv)))
+        for (z, u), c in coev_one_vertex(K, b).items():
+            s = z.crosses[0]
+            coef = theta * sigma2_scalar_one_vertex(K, b, s) * K.zeta_pow(z.charge * u.charge)
+            w.append((s, z.charge, coef * ev(K, {(u, z): c})))
         w = K._loop_W[b] = tuple(w)
     return w
 
@@ -213,14 +214,7 @@ def chi_apply(K: CycField, y: dict, b: int) -> dict:
     """
 
     def image(bv):
-        out = {}
-        for g, wy in yds.coact_basis(bv):
-            t = _loop_trace(K, b, g, wy.charge)
-            if t.is_zero():
-                continue
-            for bw, d in yds.act_Fr_basis(K, g, wy).items():
-                yds.add_term(out, bw, t * d)
-        return out
+        return yds.act_by_coaction(K, bv, lambda g, wy: _loop_trace(K, b, g, wy.charge))
 
     return yds.linear_extend(image, y)
 
@@ -231,16 +225,17 @@ def chi_apply_first_form(K: CycField, y: dict, b: int) -> dict:
     before evaluating.  The independent oracle for chi_apply; cross-check only.
     """
     theta = ribbon_scalar_one_vertex(K, b)
-    out = {}
-    for zbv, uvec in coev_one_vertex(K, b):
-        for (by, bz), c in yds.braid_B2(K, {(key, zbv): cy for key, cy in y.items()}).items():
-            for ubv2, cu in uvec.items():
-                braided = yds.braid_B(K, {(bz, ubv2): c * theta * cu})
-                for (bu3, bz3), c3 in braided.items():
-                    coef = c3 * ev_one_vertex(K, bu3, bz3)
-                    if not coef.is_zero():
-                        yds.add_term(out, by, coef)
-    return out
+    legs = {  # (B^2 (x) id)(y (x) coev(X^b)), as {(y', z', u): c}
+        (by, bz, u): c * cu
+        for (z, u), cu in coev_one_vertex(K, b).items()
+        for (by, bz), c in yds.braid_B2(K, {(key, z): cy for key, cy in y.items()}).items()
+    }
+
+    def close(key):
+        by, bz, u = key
+        return {by: theta * ev(K, yds.braid_B(K, {(bz, u): K.one}))}
+
+    return yds.linear_extend(close, legs)
 
 
 def lambda_closed(K: CycField, rp: int, nup: int, r: int, nu: int) -> CycNum:
@@ -302,11 +297,7 @@ def _assert_commutes(K: CycField, y_basis, b: int):
         rhs = yds.act_F(K, chi_apply(K, w, b))
         if not yds.vec_eq(lhs, rhs):
             raise yds.VerificationError("chi does not commute with the action")
-        lc = {r: comp for r, comp in yds.coact(K, chi_apply(K, w, b))}
-        rc = {r: chi_apply(K, comp, b) for r, comp in yds.coact(K, w)}
-        if set(lc) != {r for r, c in rc.items() if c} or not all(
-            yds.vec_eq(lc[r], rc[r]) for r in lc
-        ):
+        if not yds.commutes_with_coaction(K, lambda v: chi_apply(K, v, b), w):
             raise yds.VerificationError("chi does not commute with the coaction")
 
 

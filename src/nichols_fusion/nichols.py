@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cyclo import CycField, CycNum
+from .linalg import linear_extend
 
 
 def f_elt(K: CycField, r: int) -> dict:
@@ -30,31 +31,18 @@ def f_elt(K: CycField, r: int) -> dict:
 
 
 def product(K: CycField, x: dict, y: dict) -> dict:
-    out = {}
-    for r, cx in x.items():
-        for s, cy in y.items():
-            if r + s >= K.p:
-                continue  # [r+s over r] vanishes there and F(r+s) leaves the basis
-            c = K.q_binom(r + s, r) * cx * cy
-            if not c.is_zero():
-                acc = out.get(r + s)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    out.pop(r + s, None)
-                else:
-                    out[r + s] = c
-    return out
+    """F(r) F(s) = [r+s over r] F(r+s), extended bilinearly."""
+
+    def times_y(r):
+        # [r+s over r] vanishes at r+s >= p, where F(r+s) leaves the basis
+        return {r + s: K.q_binom(r + s, r) * cy for s, cy in y.items() if r + s < K.p}
+
+    return linear_extend(times_y, x)
 
 
 def coproduct(K: CycField, x: dict) -> dict:
     """Deconcatenation: Delta F(r) = sum F(s) (x) F(r-s), as {(s, r-s): coeff}."""
-    out = {}
-    for r, c in x.items():
-        for s in range(r + 1):
-            key = (s, r - s)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return linear_extend(lambda r: {(s, r - s): K.one for s in range(r + 1)}, x)
 
 
 def counit(K: CycField, x: dict) -> CycNum:
@@ -80,28 +68,16 @@ def tensor_square_product(K: CycField, xy: dict, zw: dict) -> dict:
     Psi between the middle factors contributes q^{2 * deg(b) * deg(c)}.  Needed
     only for the bialgebra axiom Delta(xy) = Delta(x) Delta(y).
     """
-    out = {}
-    for (a, b), cxy in xy.items():
-        for (c, d), czw in zw.items():
-            if a + c >= K.p or b + d >= K.p:
-                continue
-            coef = (
-                K.q_pow(2 * b * c)
-                * K.q_binom(a + c, a)
-                * K.q_binom(b + d, b)
-                * cxy
-                * czw
-            )
-            if coef.is_zero():
-                continue
-            key = (a + c, b + d)
-            acc = out.get(key)
-            coef = coef if acc is None else acc + coef
-            if coef.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = coef
-    return out
+
+    def times_zw(key):
+        a, b = key
+        return {
+            (a + c, b + d): K.q_pow(2 * b * c) * K.q_binom(a + c, a) * K.q_binom(b + d, b) * czw
+            for (c, d), czw in zw.items()
+            if a + c < K.p and b + d < K.p
+        }
+
+    return linear_extend(times_zw, xy)
 
 
 def shuffle_product_oracle(K: CycField, r: int, s: int) -> CycNum:

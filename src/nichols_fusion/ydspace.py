@@ -19,7 +19,9 @@ Closed forms implemented here, with xi = 1 - q^2 and [n] the q-integers:
 Charges are stored as plain integers.  Reduction mod p (module-comodule data),
 mod 2p (action signs) and mod 4p (braiding) happens at the point of use.
 
-Sparse containers:
+Sparse containers (the vocabulary add_term, linear_extend, scale, vec_sub and
+vec_eq lives in linalg and is re-exported here; every module map is a basis
+map passed to linear_extend):
   YDVec     = dict[BasisVector, CycNum]
   TensorVec = dict[(BasisVector, BasisVector), CycNum]   for Y (x) Z
   elements of B_p (x) M are dict[(int, BasisVector), CycNum]
@@ -30,6 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclo import CycField, CycNum
+from .linalg import add_term, linear_extend, scale, vec_sub, vec_eq
 from . import nichols
 
 
@@ -72,41 +75,6 @@ def psi_scalar(K: CycField, v, w) -> CycNum:
     c1 = v if isinstance(v, int) else v.charge
     c2 = w if isinstance(w, int) else w.charge
     return K.zeta_pow(c1 * c2)
-
-
-def add_term(vec: dict, key, coef: CycNum) -> None:
-    acc = vec.get(key)
-    coef = coef if acc is None else acc + coef
-    if coef.is_zero():
-        vec.pop(key, None)
-    else:
-        vec[key] = coef
-
-
-def linear_extend(basis_map, vec: dict) -> dict:
-    """sum_k c_k * basis_map(k): the linear extension of a map on basis keys."""
-    out = {}
-    for key, c in vec.items():
-        for bw, d in basis_map(key).items():
-            add_term(out, bw, c * d)
-    return out
-
-
-def scale(K: CycField, vec: dict, coef: CycNum) -> dict:
-    if coef.is_zero():
-        return {}
-    return {k: coef * c for k, c in vec.items()}
-
-
-def vec_sub(vec: dict, other: dict) -> dict:
-    out = dict(vec)
-    for k, c in other.items():
-        add_term(out, k, -c)
-    return out
-
-
-def vec_eq(a: dict, b: dict) -> bool:
-    return not vec_sub(a, b)
 
 
 def _put(K, out, bv, coef):
@@ -234,6 +202,16 @@ def is_coinvariant(v: dict) -> bool:
     return all(bv.crosses[0] == 0 for bv in v)
 
 
+def act_by_coaction(K: CycField, bv: BasisVector, weight) -> dict:
+    """sum_g weight(g, y_g) F(g) |> y_g over delta(bv) = sum_g F(g) (x) y_g.
+
+    F(g) |> y_g is not computed where the weight is zero.
+    """
+    terms = {key: weight(*key) for key in coact_basis(bv)}
+    terms = {key: w for key, w in terms.items() if not w.is_zero()}
+    return linear_extend(lambda key: act_Fr_basis(K, *key), terms)
+
+
 # ---------------------------------------------------------------------------
 # tensor products of Yetter-Drinfeld modules (diagonal action and coaction)
 
@@ -241,20 +219,23 @@ def is_coinvariant(v: dict) -> bool:
 def tensor_act_Fr(K: CycField, n: int, x: dict) -> dict:
     """F(n) |> (y (x) z) = sum (F(n1) |> y) (x) (F(n2) |> z) with the braiding
     scalar from pushing F(n2) past y."""
-    out = {}
-    for (by, bz), c in x.items():
-        chy = by.charge
+
+    def image(key):
+        by, bz = key
+        out = {}
         for n1 in range(n + 1):
-            n2 = n - n1
-            coef = c * K.q_pow(-n2 * chy)
             wy = act_Fr_basis(K, n1, by)
             if not wy:
-                continue
-            wz = act_Fr_basis(K, n2, bz)
-            for b1, c1 in wy.items():
-                for b2, c2 in wz.items():
-                    add_term(out, (b1, b2), coef * c1 * c2)
-    return out
+                continue  # F(n2) |> z is not needed then
+            coef = K.q_pow((n1 - n) * by.charge)
+            wz = act_Fr_basis(K, n - n1, bz)
+            # F(n1) raises y's total cross count by n1, so no two n1 share a key
+            out.update(
+                ((b1, b2), coef * c1 * c2) for b1, c1 in wy.items() for b2, c2 in wz.items()
+            )
+        return out
+
+    return linear_extend(image, x)
 
 
 def tensor_coact(K: CycField, x: dict) -> list[tuple[int, dict]]:
@@ -273,20 +254,34 @@ def tensor_coact(K: CycField, x: dict) -> list[tuple[int, dict]]:
     return sorted((r, comp) for r, comp in comps.items() if comp)
 
 
+def commutes_with_coaction(K: CycField, f, x: dict, coact_fn=coact) -> bool:
+    """delta(f(x)) == (id (x) f)(delta x), compared degree by degree.
+
+    coact_fn is the coaction on the source of f (tensor_coact for a map out of
+    a tensor product); empty components are dropped on both sides.
+    """
+    lhs = dict(coact(K, f(x)))
+    rhs = {r: fc for r, comp in coact_fn(K, x) if (fc := f(comp))}
+    return lhs.keys() == rhs.keys() and all(vec_eq(lhs[r], rhs[r]) for r in lhs)
+
+
 # ---------------------------------------------------------------------------
 # category braiding of Yetter-Drinfeld modules
 
 
 def braid_B(K: CycField, x: dict) -> dict:
     """B(y (x) z) = sum psi(y_0, z) (y_{-1} |> z) (x) y_0, a map Y(x)Z -> Z(x)Y."""
-    out = {}
-    for (by, bz), c in x.items():
+
+    def image(key):
+        by, bz = key
         chz = bz.charge
-        for g, wy in coact_basis(by):
-            coef = c * K.zeta_pow(wy.charge * chz)
-            for bw, d in act_Fr_basis(K, g, bz).items():
-                add_term(out, (bw, wy), coef * d)
-    return out
+        return {  # one y_0 per g, so no two terms share a key
+            (bw, wy): K.zeta_pow(wy.charge * chz) * d
+            for g, wy in coact_basis(by)
+            for bw, d in act_Fr_basis(K, g, bz).items()
+        }
+
+    return linear_extend(image, x)
 
 
 def braid_B_inv(K: CycField, x: dict) -> dict:
@@ -298,15 +293,17 @@ def braid_B_inv(K: CycField, x: dict) -> dict:
     identity (the alternating q-Pascal sum telescopes to zero in every degree
     above 0); it is asserted exhaustively in the tests.
     """
-    out = {}
-    for (bz, by), c in x.items():
-        chz = bz.charge
-        c0 = c * K.zeta_pow(-chz * by.charge)
-        for g, wy in coact_basis(by):
-            coef = c0 * K.q_pow(g * wy.charge) * nichols.antipode_inv_coeff(K, g)
-            for bw, d in act_Fr_basis(K, g, bz).items():
-                add_term(out, (wy, bw), coef * d)
-    return out
+
+    def image(key):
+        bz, by = key
+        c0 = K.zeta_pow(-bz.charge * by.charge)
+        return {  # one y_g per g, so no two terms share a key
+            (wy, bw): c0 * K.q_pow(g * wy.charge) * nichols.antipode_inv_coeff(K, g) * d
+            for g, wy in coact_basis(by)
+            for bw, d in act_Fr_basis(K, g, bz).items()
+        }
+
+    return linear_extend(image, x)
 
 
 def braid_B2(K: CycField, x: dict) -> dict:

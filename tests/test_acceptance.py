@@ -106,7 +106,7 @@ for (a, b), col in _ROWS.items():
 
 @criterion(4, "reference classification table at p=5, all 75 displayed cells")
 def test_criterion_4_figure_table():
-    grid = cl.figure1_table(5)
+    grid = cl.classification_grid(5)
     assert len(FIGURE_CELLS) == 75
     for (a, b, t), (kind, r, nu) in FIGURE_CELLS.items():
         d = grid[(a, b, t)]

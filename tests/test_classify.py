@@ -20,11 +20,10 @@ def test_beta_param():
 
 
 def test_braiding_sector():
-    assert cl.braiding_sector(1, 2, 5) == 0
+    assert cl.raw_nu(1, 2, 5) == 0
     assert cl.raw_nu(-6, 5, 5) == 2
-    assert cl.braiding_sector(-6, 5, 5) == 2
     with pytest.raises(ValueError):
-        cl.braiding_sector(1, 3, 5)
+        cl.raw_nu(1, 3, 5)
 
 
 def test_classify_examples_p5():
@@ -148,15 +147,3 @@ def test_iso_check_modes():
     assert not cl.iso_check(x0, cl.ModuleDescriptor("X", 3, 0), "module_comodule")
     with pytest.raises(ValueError):
         cl.iso_check(x0, x2, "nope")
-
-
-def test_figure_table_requires_p5():
-    with pytest.raises(ValueError):
-        cl.figure1_table(3)
-    grid = cl.figure1_table()
-    d = grid[(0, 1, 1)]
-    assert (d.kind, d.r, d.nu) == ("S", 5, 1)
-    d = grid[(1, 1, 1)]
-    assert (d.kind, d.r, d.nu) == ("X", 1, 0)
-    d = grid[(4, 4, 4)]
-    assert (d.kind, d.r, d.nu) == ("B", 1, 0)

@@ -328,6 +328,7 @@ MUTANTS = [
     ("loop", "mu_closed", _negated),
     ("fusionring", "_basis_product", _extra_unit_at_2_3),
     ("classify", "classify_coinvariant", _b_cells_as_x),
+    ("ydspace", "_c1", _negated),
     ("ydspace", "_c2", _negated),
     ("ydspace", "ribbon", _negated_vector),
     ("fusion", "monodromy_closed_form", _negated_vector),

@@ -1,5 +1,5 @@
 from nichols_fusion.cyclo import cyclotomic_field
-from nichols_fusion.linalg import Echelon
+from nichols_fusion.linalg import Echelon, linear_extend
 
 
 def test_stored_row_is_not_the_callers_vector():
@@ -46,3 +46,17 @@ def test_coordinates_match_a_non_unit_pivot_basis():
     outside[6] = K.one
     assert unit.coordinates(outside) is None and other.coordinates(outside) is None
     assert unit.contains(target) and not other.contains(outside)
+
+
+def test_linear_extend_drops_cancelling_terms_and_empty_images():
+    K = cyclotomic_field(3)
+    images = {
+        "x": {0: K.one, 1: K.q_pow(1)},
+        "y": {1: K.q_pow(1), 2: K.from_int(2)},
+        "z": {},
+    }
+    vec = {"x": K.from_int(3), "y": K.from_int(-3), "z": K.q_int(2)}
+    got = linear_extend(images.__getitem__, vec)
+    assert got == {0: K.from_int(3), 2: K.from_int(-6)}
+    assert linear_extend(images.__getitem__, {"z": K.one}) == {}
+    assert linear_extend(images.__getitem__, {}) == {}

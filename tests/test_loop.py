@@ -24,6 +24,21 @@ def test_ev_example_p2():
     assert lp.ev_one_vertex(K, one_vertex(2, 1), one_vertex(0, 0)) == -K.one
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_coev_matches_closed_form(p):
+    # coev(X^a) = sum_s V^a_s (x) (-1)^{a+s} q^{(s+1)(s-a-2)} V^{2p-a-2}_{p-1-s}
+    K = cyclotomic_field(p)
+    for a in range(-p, 3 * p):
+        coev = lp.coev_one_vertex(K, a)
+        want = {}
+        for s in range(a % p + 1):
+            coef = K.q_pow((s + 1) * (s - a - 2))
+            key = (one_vertex(a, s), one_vertex(2 * p - a - 2, p - 1 - s))
+            want[key] = -coef if (a + s) % 2 else coef
+        assert coev == want
+        assert all(key[1].charges[0] == 2 * p - a - 2 for key in coev)
+
+
 def test_sigma2_examples():
     K = cyclotomic_field(3)
     for a in range(6):

@@ -261,6 +261,22 @@ def test_ribbon_examples():
                 assert got == {two_vertex(a, b, 0, t): K.zeta_pow(x * (x + 2))}
 
 
+def test_commutes_with_coaction_is_not_vacuous():
+    from nichols_fusion.fusion import fusion_map
+
+    K = cyclotomic_field(3)
+    for a in range(6):
+        v = {one_vertex(a, 1): K.one}
+        assert yds.commutes_with_coaction(K, lambda w: yds.ribbon(K, w), v)
+        x = {(one_vertex(a, 1), one_vertex(2, 1)): K.one}
+        assert yds.commutes_with_coaction(
+            K, lambda w: fusion_map(K, w), x, coact_fn=yds.tensor_coact
+        )
+    # F raises the cross count, so F(v) has a coaction degree that delta(v) lacks
+    for bv in (one_vertex(1, 0), two_vertex(1, 2, 1, 0)):
+        assert not yds.commutes_with_coaction(K, lambda w: yds.act_F(K, w), {bv: K.one})
+
+
 @pytest.mark.parametrize(
     "apply",
     [
