@@ -48,11 +48,6 @@ class ModuleDescriptor:
         return f"{self.kind}({self.r})_{self.nu}{lab}"
 
 
-def beta_param(a: int, b: int, t: int, p: int) -> int:
-    """beta = (a+b-2t)_p + 1, the unique value in 1..p parameterizing (a,b,t)."""
-    return (a + b - 2 * t) % p + 1
-
-
 def raw_nu(a_eff: int, r: int, p: int) -> int:
     """nu with a_eff = r - 1 - nu*p; raises if a_eff and r are incompatible."""
     if (r - 1 - a_eff) % p != 0:
@@ -166,44 +161,6 @@ def top_extension_vector(K: CycField, a: int, b: int, t: int, r: int) -> dict:
     return out
 
 
-def extend_to_V(K: CycField, desc: ModuleDescriptor):
-    """Extend X(r) (r < p) to the p-dimensional V[r] by coaction closure.
-
-    Returns (basis, descriptor); the added upper-floor vectors are the F-orbit
-    of the explicit top vector, and their coaction is checked to land in the
-    span (that is what makes the extension a module comodule).
-    """
-    if desc.kind != "X" or desc.r >= K.p:
-        raise ValueError(f"extend_to_V needs an X(r) with r < p, got {desc}")
-    p = K.p
-    if len(desc.labels) == 1:
-        a = desc.labels[0]
-        seed = yds.one_vertex(a, 0)
-        top = {yds.one_vertex(a, desc.r): K.one}
-    else:
-        a, t, b = desc.labels
-        seed = yds.two_vertex(a, b, 0, t)
-        top = top_extension_vector(K, a, b, t, desc.r)
-    basis, _ = generate_submodule(K, seed)
-    ech = Echelon(K)
-    for v in basis:
-        ech.add(v)
-    upper = []
-    v = top
-    while v:
-        upper.append(v)
-        if not ech.add(v):
-            raise yds.VerificationError(f"upper floor vector of {desc} already in the submodule")
-        v = yds.act_F(K, v)
-    if len(basis) + len(upper) != p:
-        raise yds.VerificationError(f"{desc} extends to dimension {len(basis) + len(upper)}")
-    # coaction closure: every coaction component of the extension stays inside
-    for v in upper:
-        if not all(ech.contains(comp) for _, comp in yds.coact(K, v)):
-            raise yds.VerificationError(f"the coaction leaves the extension of {desc}")
-    return basis + upper, ModuleDescriptor("V", desc.r, desc.nu, desc.labels)
-
-
 def extend_to_P(K: CycField, desc: ModuleDescriptor):
     """Extend an L[r] to the 2p-dimensional P[r]; P[p] is X(p) itself.
 
@@ -226,7 +183,7 @@ def extend_to_P(K: CycField, desc: ModuleDescriptor):
     for v in lower:
         ech.add(v)
     upper = []
-    v = yds.scale(K, top_extension_vector(K, a, b, t, r), K.q_pow(a + b - 2 * t))
+    v = yds.scale(top_extension_vector(K, a, b, t, r), K.q_pow(a + b - 2 * t))
     while v:
         upper.append(v)
         if not ech.add(v):
@@ -240,7 +197,7 @@ def extend_to_P(K: CycField, desc: ModuleDescriptor):
     vr = lower[r - 1]
     c1 = comps.get(1)
     piv = next(iter(vr))
-    if c1 is None or not yds.vec_eq(c1, yds.scale(K, vr, c1.get(piv, K.zero) * vr[piv].inv())):
+    if c1 is None or not yds.vec_eq(c1, yds.scale(vr, c1.get(piv, K.zero) * vr[piv].inv())):
         raise yds.VerificationError(f"the coaction of u(1) misses the left wing of {desc}")
     for v in upper:
         if not all(ech.contains(comp) for _, comp in yds.coact(K, v)):
@@ -253,25 +210,6 @@ def p_module_basis(K: CycField, a: int, t: int, b: int):
     desc = classify_coinvariant(K.p, a, b, t)
     basis, pdesc = extend_to_P(K, desc)
     return basis[: K.p], basis[K.p :], pdesc
-
-
-def iso_check(d1: ModuleDescriptor, d2: ModuleDescriptor, mode: str) -> bool:
-    """Descriptor isomorphism: as module comodules (nu ignored), in the braided
-    category (nu mod 4), or in the entwined category (nu mod 2)."""
-
-    def norm_kind(d):
-        return "X" if (d.kind in ("S", "X") or (d.kind == "P" and d.r == 0)) else d.kind
-
-    k1, k2 = norm_kind(d1), norm_kind(d2)
-    if k1 != k2 or d1.r != d2.r:
-        return False
-    if mode == "module_comodule":
-        return True
-    if mode == "braided":
-        return (d1.nu - d2.nu) % 4 == 0
-    if mode == "entwined":
-        return (d1.nu - d2.nu) % 2 == 0
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def classification_grid(p: int):

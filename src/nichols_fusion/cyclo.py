@@ -26,7 +26,6 @@ hot arithmetic is plain integer arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 import cmath
@@ -72,7 +71,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 class CycNum:
     """An element of Q(zeta_{4p}) in canonical reduced form.
 
-    Immutable; supports +, -, *, ** and exact equality.  Use .inv() for the
+    Immutable; supports +, -, *, ** and exact equality, which compares the
+    field's p too (p = 5 and p = 6 share a degree).  Use .inv() for the
     multiplicative inverse and .evalf() for a floating-point embedding (the
     embedding is a sanity cross-check only, exact arithmetic is authoritative).
     """
@@ -185,7 +185,7 @@ class CycNum:
     def __eq__(self, other):
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.den == other.den and self.field.p == other.field.p
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -292,9 +292,6 @@ class CycField:
 
     def from_int(self, n: int) -> CycNum:
         return self._make([n] + [0] * (self.deg - 1), 1)
-
-    def from_fraction(self, fr: Fraction) -> CycNum:
-        return self._make([fr.numerator] + [0] * (self.deg - 1), fr.denominator)
 
     def zeta_pow(self, k: int) -> CycNum:
         """zeta^k in canonical form; a group homomorphism Z -> field units."""

@@ -3,8 +3,8 @@
 Every linear object in the package is a sparse dict {key: CycNum} holding only
 nonzero coefficients: elements of B_p, YDVec and TensorVec in ydspace, and the
 rows of an Echelon.  The vocabulary for them lives here, at the bottom of the
-import graph: add_term, linear_extend, scale, vec_sub and vec_eq.  ydspace
-re-exports it.
+import graph: add_term, linear_extend, scale(vec, coef), vec_sub and vec_eq.
+ydspace re-exports it.
 
 Echelon pivots are chosen at the smallest key of each row, which keeps
 elimination cheap for the triangular families produced by the fusion map.
@@ -12,7 +12,7 @@ elimination cheap for the triangular families produced by the fusion map.
 
 from __future__ import annotations
 
-from .cyclo import CycField, CycNum
+from .cyclo import CycNum
 
 
 def add_term(vec: dict, key, coef: CycNum) -> None:
@@ -33,7 +33,7 @@ def linear_extend(basis_map, vec: dict) -> dict:
     return out
 
 
-def scale(K: CycField, vec: dict, coef: CycNum) -> dict:
+def scale(vec: dict, coef: CycNum) -> dict:
     if coef.is_zero():
         return {}
     return {k: coef * c for k, c in vec.items()}
@@ -51,7 +51,11 @@ def vec_eq(a: dict, b: dict) -> bool:
 
 
 class Echelon:
-    """Incremental echelon basis with optional coordinate tracking."""
+    """Incremental echelon basis with optional coordinate tracking.
+
+    The package calls add and contains only; the tag mode (tag, combos,
+    coordinates) stays while the benchmark's tracer wraps coordinates.
+    """
 
     def __init__(self, field):
         self.field = field
@@ -80,11 +84,12 @@ class Echelon:
         red, piv, combo = self._reduce(vec, combo)
         if piv is None:
             return False
-        inv = red[piv].inv()
         if red[piv] == self.field.one:
             # red is _reduce's own copy, so a unit-pivot row is stored as is
+            inv = self.field.one
             self.rows[piv] = red
         else:
+            inv = red[piv].inv()
             self.rows[piv] = {k: inv * c for k, c in red.items()}
         if tag is not None:
             selfcombo = {t: -(inv * c) for t, c in combo.items()}

@@ -132,15 +132,6 @@ def dual_descriptor(p: int, desc: ModuleDescriptor) -> ModuleDescriptor:
 # squared relative antipode
 
 
-def sigma2(K: CycField, v: dict) -> dict:
-    """sigma_2(z) = A(z_{(-1)}) |> z_{(0)}; identity on coinvariants."""
-
-    def image(bv):
-        return yds.act_by_coaction(K, bv, lambda g, _: nichols.antipode_coeff(K, g))
-
-    return yds.linear_extend(image, v)
-
-
 def sigma2_scalar_one_vertex(K: CycField, a: int, t: int) -> CycNum:
     """sigma_2 is diagonal on one-vertex vectors; the V^a_t eigenvalue
     sum_r A(r) c1(a, t-r, r), with A(r) the antipode coefficient."""
@@ -261,15 +252,6 @@ def lambda_ratio(K: CycField, rp: int, nup: int, r: int, nu: int) -> CycNum:
     return -val if sign % 2 else val
 
 
-def lambda_ab(K: CycField, a: int, b: int) -> CycNum:
-    """Eigenvalue in coinvariant-charge labels, for (a)_p != p-1."""
-    if (a + 1) % K.p == 0:
-        raise ZeroDivisionError("denominator vanishes at (a)_p = p-1")
-    num = K.q_pow((a + 1) * (b + 1)) - K.q_pow(-(a + 1) * (b + 1))
-    den = K.q_pow(a + 1) - K.q_pow(-(a + 1))
-    return num * den.inv()
-
-
 def lambda_steinberg(K: CycField, nup: int, r: int, nu: int) -> CycNum:
     """lambda(p, nu'; r, nu) = (-1)^{(nu'+1)(r-1-nu p)} r."""
     val = K.from_int(r)
@@ -290,24 +272,13 @@ def mu_closed(K: CycField, rp: int, nup: int, r: int, nu: int) -> CycNum:
     return -val if sign % 2 else val
 
 
-def _assert_commutes(K: CycField, y_basis, b: int):
-    # chi must commute with the action and coaction on the span
-    for w in y_basis:
-        lhs = chi_apply(K, yds.act_F(K, w), b)
-        rhs = yds.act_F(K, chi_apply(K, w, b))
-        if not yds.vec_eq(lhs, rhs):
-            raise yds.VerificationError("chi does not commute with the action")
-        if not yds.commutes_with_coaction(K, lambda v: chi_apply(K, v, b), w):
-            raise yds.VerificationError("chi does not commute with the coaction")
-
-
 def _chi_is(K: CycField, b: int, lam: CycNum, terms) -> bool:
     """chi of Z = X^b equals lam * id + N on a basis: chi(w) - lam * w == N(w)
     for every (w, N(w)) in terms.  A VerificationError from chi_apply fails
     the instance instead of ending the check."""
     try:
         return all(
-            yds.vec_eq(yds.vec_sub(chi_apply(K, w, b), yds.scale(K, w, lam)), nw)
+            yds.vec_eq(yds.vec_sub(chi_apply(K, w, b), yds.scale(w, lam)), nw)
             for w, nw in terms
         )
     except yds.VerificationError:
@@ -330,7 +301,7 @@ def verify_chi_on_P(K: CycField, vs, us, pdesc: ModuleDescriptor, r: int, nu: in
     p, rp = K.p, pdesc.r
     lam = lambda_closed(K, rp, pdesc.nu, r, nu)
     mu = mu_closed(K, rp, pdesc.nu, r, nu)
-    nil = [{}] * p + [yds.scale(K, vs[rp + i], mu) if rp + i < p else {} for i in range(p)]
+    nil = [{}] * p + [yds.scale(vs[rp + i], mu) if rp + i < p else {} for i in range(p)]
     return _chi_is(K, r - 1 - nu * p, lam, zip(vs + us, nil))
 
 

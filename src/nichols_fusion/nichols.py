@@ -45,10 +45,6 @@ def coproduct(K: CycField, x: dict) -> dict:
     return linear_extend(lambda r: {(s, r - s): K.one for s in range(r + 1)}, x)
 
 
-def counit(K: CycField, x: dict) -> CycNum:
-    return x.get(0, K.zero)
-
-
 def antipode_coeff(K: CycField, r: int) -> CycNum:
     return K.q_pow(r * (r - 1)) if r % 2 == 0 else -K.q_pow(r * (r - 1))
 

@@ -97,32 +97,33 @@ def suite_hopf(p: int):
     _check(out, "hopf.bialgebra", bialgebra())
 
     def antipode_axiom():
+        def left(ij):  # m (A (x) id) on F(i) (x) F(j)
+            return ni.product(K, ni.antipode(K, basis[ij[0]]), basis[ij[1]])
+
+        def right(ij):  # m (id (x) A)
+            return ni.product(K, basis[ij[0]], ni.antipode(K, basis[ij[1]]))
+
         for r in range(p):
-            acc_l, acc_r = {}, {}
-            for (i, j), c in ni.coproduct(K, basis[r]).items():
-                for d, cc in ni.product(K, ni.antipode(K, {i: c}), {j: K.one}).items():
-                    yds.add_term(acc_l, d, cc)
-                for d, cc in ni.product(K, {i: c}, ni.antipode(K, {j: K.one})).items():
-                    yds.add_term(acc_r, d, cc)
+            cp = ni.coproduct(K, basis[r])
             want = {0: K.one} if r == 0 else {}
-            yield r, acc_l == want and acc_r == want
+            yield r, yds.linear_extend(left, cp) == want and yds.linear_extend(right, cp) == want
 
     _check(out, "hopf.antipode", antipode_axiom())
 
     def coassoc():
+        def delta_left(ij):  # (Delta (x) id) on F(i) (x) F(j)
+            return {(*k, ij[1]): c for k, c in ni.coproduct(K, basis[ij[0]]).items()}
+
+        def delta_right(ij):  # (id (x) Delta)
+            return {(ij[0], *k): c for k, c in ni.coproduct(K, basis[ij[1]]).items()}
+
+        def counit_left(ij):  # (epsilon (x) id)
+            return {ij[1]: K.one} if ij[0] == 0 else {}
+
         for r in range(p):
             cp = ni.coproduct(K, basis[r])
-            lhs, rhs = {}, {}
-            for (i, j), c in cp.items():
-                for (i1, i2), c2 in ni.coproduct(K, {i: c}).items():
-                    yds.add_term(lhs, (i1, i2, j), c2)
-                for (j1, j2), c2 in ni.coproduct(K, {j: c}).items():
-                    yds.add_term(rhs, (i, j1, j2), c2)
-            counit_l = {}
-            for (i, j), c in cp.items():
-                if i == 0:
-                    yds.add_term(counit_l, j, c)
-            yield r, yds.vec_eq(lhs, rhs) and counit_l == {r: K.one}
+            lhs, rhs = yds.linear_extend(delta_left, cp), yds.linear_extend(delta_right, cp)
+            yield r, yds.vec_eq(lhs, rhs) and yds.linear_extend(counit_left, cp) == {r: K.one}
 
     _check(out, "hopf.coassociativity", coassoc())
 
@@ -327,7 +328,7 @@ def suite_duality(p: int):
                 for u, coef in lp.dual_act_U2(K, a, b, s, t, r):
                     cj, bvj = lp.dual_identification_two_vertex(K, a, b, s - r + u, t - u)
                     yds.add_term(lhs, bvj, coef * cj)
-                rhs = yds.scale(K, yds.act_Fr_basis(K, r, bvi), ci)
+                rhs = yds.scale(yds.act_Fr_basis(K, r, bvi), ci)
                 yield (a, b, s, t, r), yds.vec_eq(lhs, rhs)
 
     _check(out, "duality.dual_basis_two_vertex", identification_2v())

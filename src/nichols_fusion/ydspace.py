@@ -66,17 +66,6 @@ def two_vertex(a: int, b: int, s: int, t: int) -> BasisVector:
     return BasisVector((a, b), (s, t))
 
 
-def psi_scalar(K: CycField, v, w) -> CycNum:
-    """Diagonal braiding scalar: Psi(v (x) w) = psi_scalar(v, w) * (w (x) v).
-
-    Accepts basis vectors or raw integer charges.  For one-vertex vectors this
-    is q^{(a-2s)(b-2t)/2}; against F(r) use charge -2r.
-    """
-    c1 = v if isinstance(v, int) else v.charge
-    c2 = w if isinstance(w, int) else w.charge
-    return K.zeta_pow(c1 * c2)
-
-
 def _put(K, out, bv, coef):
     """Insert a term, dropping out-of-range cross counts.
 
@@ -357,7 +346,8 @@ def ribbon(K: CycField, v: dict) -> dict:
 
     One vertex: theta V^a_s = q^{((a+1)^2 - 1)/2} V^a_s.
     Two vertices: the prefactor q^{((a+b-2t+1)^2 - 1)/2} times the cross-moving
-    sum over i with coefficient q^{-ia} xi^i [t+i over i] prod_j [t+j-b].
+    sum over i with coefficient q^{-ia} xi^i [t+i over i] prod_{j<i} [t+j-b],
+    which is the action coefficient c^{a,b}_{0,t}(i,i) (_c2).
     """
     out = {}
     for bv, c in v.items():
@@ -369,9 +359,7 @@ def ribbon(K: CycField, v: dict) -> dict:
             x = a + b - 2 * t
             pre = c * K.zeta_pow(x * (x + 2))
             for i in range(s + 1):
-                coef = pre * K.q_pow(-i * a) * K.xi_pow(i) * K.q_binom(t + i, i)
-                for j in range(i):
-                    coef = coef * K.q_int(t + j - b)
+                coef = pre * _c2(K, a, b, 0, t, i, i)
                 _put(K, out, BasisVector(bv.charges, (s - i, t + i)), coef)
         else:
             raise ValueError("ribbon is implemented on 1- and 2-vertex sectors only")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +10,15 @@ def field(p):
     return cyclotomic_field(p)
 
 
+def rational(K, num, den):
+    """num/den as a field element, normalized by the field's own _make."""
+    return K._make([num] + [0] * (K.deg - 1), den)
+
+
 def random_elt(K, coeffs):
     acc = K.zero
     for i, (num, den) in enumerate(coeffs[: K.deg]):
-        acc = acc + K.from_fraction(Fraction(num, den)) * K.zeta_pow(i)
+        acc = acc + rational(K, num, den) * K.zeta_pow(i)
     return acc
 
 
@@ -116,7 +120,7 @@ def test_xi_pow_equals_power():
 
 def test_multiply_by_one_returns_an_equal_value():
     K = field(5)
-    x = K.from_fraction(Fraction(2, 3)) * K.zeta_pow(1) + K.one
+    x = rational(K, 2, 3) * K.zeta_pow(1) + K.one
     assert x.den == 3
     for one in (K.one, K.from_int(1)):
         for y in (x, K.zero, K.one):
@@ -160,6 +164,18 @@ def test_inverse_memo_is_per_field():
     assert x5 * i5 == K5.one and x6 * i6 == K6.one
     assert i5 != i6
     assert x5.inv() == i5 and x6.inv() == i6
+
+
+def test_values_of_two_fields_are_not_equal():
+    # phi(20) = phi(24) = 8, so 1 and 1 + zeta have one (num, den) in both fields
+    K5, K6 = cyclotomic_field(5), cyclotomic_field(6)
+    for x5, x6 in ((K5.one, K6.one), (K5.one + K5.zeta_pow(1), K6.one + K6.zeta_pow(1))):
+        assert (x5.num, x5.den) == (x6.num, x6.den)
+        assert x5 != x6 and not x5 == x6
+        assert len({x5, x6}) == 2
+    # two instances of one field hold equal values, with equal hashes
+    L = CycField(5)
+    assert L.one == K5.one and hash(L.one) == hash(K5.one)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,26 @@ from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion import ydspace as yds
 from nichols_fusion import loop as lp
 from nichols_fusion import classify as cl
+from nichols_fusion import nichols as ni
 from nichols_fusion.ydspace import one_vertex
+
+
+def sigma2(K, v):
+    # reference: the full sigma_2(z) = A(z_{(-1)}) |> z_{(0)}, whose one-vertex
+    # eigenvalues loop.sigma2_scalar_one_vertex gives in closed form
+    def image(bv):
+        return yds.act_by_coaction(K, bv, lambda g, _: ni.antipode_coeff(K, g))
+
+    return yds.linear_extend(image, v)
+
+
+def lambda_ab(K, a, b):
+    # reference: the loop eigenvalue in coinvariant-charge labels, for (a)_p != p-1
+    if (a + 1) % K.p == 0:
+        raise ZeroDivisionError("denominator vanishes at (a)_p = p-1")
+    num = K.q_pow((a + 1) * (b + 1)) - K.q_pow(-(a + 1) * (b + 1))
+    den = K.q_pow(a + 1) - K.q_pow(-(a + 1))
+    return num * den.inv()
 
 
 def test_ev_one_vertex_deltas():
@@ -43,8 +62,8 @@ def test_sigma2_examples():
     K = cyclotomic_field(3)
     for a in range(6):
         v0 = {one_vertex(a, 0): K.one}
-        assert lp.sigma2(K, v0) == v0
-        got = lp.sigma2(K, {one_vertex(a, 1): K.one})
+        assert sigma2(K, v0) == v0
+        got = sigma2(K, {one_vertex(a, 1): K.one})
         want = K.one - K.xi() * K.q_int(-a)
         assert got == {one_vertex(a, 1): want}
         assert lp.sigma2_scalar_one_vertex(K, a, 1) == want
@@ -52,8 +71,6 @@ def test_sigma2_examples():
 
 def _sigma2_scalar_loop(K, a, t):
     # reference: the sigma_2 eigenvalue as its own product loop, without yds._c1
-    from nichols_fusion import nichols as ni
-
     total = K.zero
     for r in range(t + 1):
         coef = ni.antipode_coeff(K, r) * K.q_binom(t, r) * K.xi() ** r
@@ -84,22 +101,20 @@ def test_one_vertex_scalars_equal_their_product_loops(p):
 def test_sigma2_identity_on_coinvariants_two_vertex():
     K = cyclotomic_field(3)
     v = {yds.two_vertex(1, 2, 0, 1): K.one}
-    assert lp.sigma2(K, v) == v
+    assert sigma2(K, v) == v
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_sigma2_intertwining(p):
-    from nichols_fusion import nichols as ni
-
     K = cyclotomic_field(p)
     for a in range(2 * p):
         for s in range(p):
             z = {one_vertex(a, s): K.one}
             for n in range(p):
-                lhs = lp.sigma2(K, yds.act_Fr(K, n, z))
+                lhs = sigma2(K, yds.act_Fr(K, n, z))
                 sc = K.q_pow(-2 * n * (a - 2 * s))  # both crossings of F(n) past z
                 a2 = ni.antipode_coeff(K, n) ** 2
-                rhs = yds.scale(K, yds.act_Fr(K, n, lp.sigma2(K, z)), sc * a2)
+                rhs = yds.scale(yds.act_Fr(K, n, sigma2(K, z)), sc * a2)
                 assert yds.vec_eq(lhs, rhs)
 
 
@@ -128,7 +143,7 @@ def test_lambda_sum_vs_ratio_and_ab_form(p):
         for b in range(2 * p):
             rp, nup = a % p + 1, cl.raw_nu(a, a % p + 1, p)
             r, nu = b % p + 1, cl.raw_nu(b, b % p + 1, p)
-            assert lp.lambda_ab(K, a, b) == lp.lambda_closed(K, rp, nup, r, nu)
+            assert lambda_ab(K, a, b) == lp.lambda_closed(K, rp, nup, r, nu)
 
 
 def test_lambda_identities():
@@ -161,7 +176,7 @@ def test_lambda_mu_errors():
     with pytest.raises(ZeroDivisionError):
         lp.lambda_ratio(K, 3, 0, 1, 0)
     with pytest.raises(ZeroDivisionError):
-        lp.lambda_ab(K, 2, 0)
+        lambda_ab(K, 2, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -182,21 +197,39 @@ def test_chi_unit_loop_is_identity():
             assert lp.verify_chi_on_simple(K, rp, 0, 1, 0)
 
 
-def test_chi_commutes_with_structure():
-    K = cyclotomic_field(2)
-    for rp, nup, r, nu in ((2, 0, 2, 1), (1, 1, 2, 0)):
-        assert lp.verify_chi_on_simple(K, rp, nup, r, nu)
-        a = rp - 1 - nup * K.p
-        basis = [{one_vertex(a, s): K.one} for s in range(rp)]
-        lp._assert_commutes(K, basis, r - 1 - nu * K.p)
-
-
 def _p_module_vectors(K):
     p = K.p
     for (a, b, t), d in sorted(cl.classification_grid(p).items()):
         if d.kind == "L":
             vs, us, _ = cl.p_module_basis(K, a, t, b)
             yield from vs + us
+
+
+def _assert_commutes(K, y_basis, b):
+    # chi of Z = X^b commutes with the action and the coaction on the span
+    def chi(v):
+        return lp.chi_apply(K, v, b)
+
+    for w in y_basis:
+        assert yds.vec_eq(chi(yds.act_F(K, w)), yds.act_F(K, chi(w))), (w, b)
+        assert yds.commutes_with_coaction(K, chi, w), (w, b)
+
+
+def test_chi_commutes_with_structure():
+    # at p = 2..4, on the basis of every simple X(r')_{nu'} and of every P
+    # module, for Z over the simples X(r)_nu, nu = 0, 1
+    for p in (2, 3, 4):
+        K = cyclotomic_field(p)
+        ys = [
+            {one_vertex(rp - 1 - nup * p, s): K.one}
+            for rp in range(1, p + 1)
+            for nup in range(4)
+            for s in range(rp)
+        ]
+        ys += list(_p_module_vectors(K))
+        for r in range(1, p + 1):
+            for nu in (0, 1):
+                _assert_commutes(K, ys, r - 1 - nu * p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -42,13 +42,6 @@ def test_antipode_values():
         assert twice == {r: K.q_pow(2 * r * (r - 1))}
 
 
-def test_counit():
-    K = cyclotomic_field(3)
-    x = {0: K.xi(), 2: K.one}
-    assert ni.counit(K, x) == K.xi()
-    assert ni.counit(K, ni.f_elt(K, 1)).is_zero()
-
-
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_bialgebra_axiom(p):
     K = cyclotomic_field(p)

@@ -11,20 +11,6 @@ def test_charges():
     assert two_vertex(2, 5, 1, 0).charge == 5
 
 
-def test_psi_scalar_examples():
-    K = cyclotomic_field(3)
-    assert yds.psi_scalar(K, one_vertex(4, 0), one_vertex(0, 0)) == K.one
-    # one-vertex pairs: q^{(a-2s)(b-2t)/2}
-    for a in range(4):
-        for b in range(4):
-            for s in range(3):
-                for t in range(3):
-                    got = yds.psi_scalar(K, one_vertex(a, s), one_vertex(b, t))
-                    assert got == K.zeta_pow((a - 2 * s) * (b - 2 * t))
-    # F against a vertex: charge(F(r)) = -2r
-    assert yds.psi_scalar(K, -2, one_vertex(5, 0)) == K.q_pow(-5)
-
-
 def test_act_F_one_vertex_examples():
     K = cyclotomic_field(3)
     # F kills V^0_0 (the one-dimensional X(1))
@@ -165,9 +151,7 @@ def test_module_axiom_over_closed_forms():
                     for r in range(p):
                         for s in range(p - r):
                             lhs = yds.act_Fr(K, r, yds.act_Fr(K, s, v))
-                            rhs = yds.scale(
-                                K, yds.act_Fr(K, r + s, v), K.q_binom(r + s, r)
-                            )
+                            rhs = yds.scale(yds.act_Fr(K, r + s, v), K.q_binom(r + s, r))
                             assert yds.vec_eq(lhs, rhs)
 
 
