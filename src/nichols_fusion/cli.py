@@ -36,10 +36,6 @@ SCHEMA_VERSION = "nichols-fusion/1"
 DEFAULT_MAX_P = 12
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1 (argparse defaults to 2, which we reserve for
     # verification failures)
@@ -159,9 +155,7 @@ def _render(payload: dict, fmt: str) -> str:
         for row in rows:
             lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
         return "\n".join(lines) + "\n"
-    if fmt == "pretty":
-        return _render_pretty(payload)
-    raise CliError(f"unknown format {fmt!r}")
+    return _render_pretty(payload)
 
 
 def _csv_cell(v):
@@ -351,11 +345,9 @@ def main(argv=None) -> int:
     elif args.command == "loop":
         key = f"loop-p{args.p}-nu{args.nu_mod}"
         payload = _cached(args, key, lambda: _payload_loop(args.p, args.nu_mod))
-    elif args.command == "verify":
+    else:  # verify; the subparsers are required, so no other command arrives
         key = f"verify-p{args.p}-{args.suite}"
         payload = _cached(args, key, lambda: _payload_verify(args.p, args.suite))
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command}")
 
     fmt = args.format or ("pretty" if args.command == "verify" else "json")
     text = _render(payload, fmt)

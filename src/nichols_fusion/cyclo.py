@@ -12,10 +12,11 @@ automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 
 Each CycField memoizes what is computed over and over: the q-integers,
 q-factorials and q-binomials (_qint, _qfact, _qbinom), the powers of
-xi = 1 - q^2 (_xi_pow), the one- and two-vertex action coefficients of
-ydspace (_c1, _c2), the loop operator's partial-trace table (_loop_W,
-_loop_T), and every inverse computed so far (_inv, keyed by the
-operand's (num, den)), so a repeated inverse costs one dict lookup.
+xi = 1 - q^2 (_xi_pow), the action coefficients of ydspace (_c2; the
+one-vertex coefficients are its b = t = u = 0 slice), the loop operator's
+partial-trace table (_loop_W, _loop_T), and every inverse computed so far
+(_inv, keyed by the operand's (num, den)), so a repeated inverse costs one
+dict lookup.
 Multiplying by 1 returns the other operand unchanged, without a convolution.
 
 Coefficients are stored as an integer vector over a single positive
@@ -212,11 +213,11 @@ class CycNum:
 class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
-    The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c1 and _c2 (filled
-    by ydspace._c1 and ydspace._c2), _loop_W and _loop_T (the loop weights and
-    partial traces, filled by loop._loop_weights and loop._loop_trace) and
-    _inv (filled by CycNum.inv).  They live as long as the field and grow with
-    the number of distinct keys.  All values are immutable and operations are
+    The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c2 (filled by
+    ydspace._c2, and through it by ydspace._c1), _loop_W and _loop_T (the
+    loop weights and partial traces, filled by loop._loop_weights and
+    loop._loop_trace) and _inv (filled by CycNum.inv).  They live as long as
+    the field and grow with the number of distinct keys.  All values are immutable and operations are
     pure; instances are safe to share across threads (the memo caches are
     idempotent dict writes).
     """
@@ -251,7 +252,6 @@ class CycField:
         self._qfact = {0: self.one}
         self._qbinom = {}
         self._xi_pow = {0: self.one, 1: self.one - self.q_pow(2)}
-        self._c1 = {}
         self._c2 = {}
         self._loop_W = {}
         self._loop_T = {}

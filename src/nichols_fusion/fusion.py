@@ -63,6 +63,10 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
         q^{ab + 2j(j-1) - 2bj - a(n+t)} xi^{n-j} [n over j] [s+t-j over s]
         prod_{l=0}^{n-j-1} [l+j-b]  V^{a,b}_{s+t-n, n}.
 
+    The factor xi^{n-j} [n over j] prod_{l<n-j} [l+j-b] is the one-vertex
+    action coefficient c1(b, j, n-j) of F(n-j) |> V^b_j, read from its memo
+    (ydspace._c1).
+
     This is the n = i slice of the published triple-sum display; the terms the
     display seems to carry at i > n do not occur in the actual composite (the
     identity above was extracted symbolically over Z[q^{+-1}, q^{+-a}, q^{+-b}]
@@ -75,12 +79,9 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
             coef = (
                 pre
                 * K.q_pow(2 * j * (j - 1) - 2 * b * j)
-                * K.xi_pow(n - j)
-                * K.q_binom(n, j)
                 * K.q_binom(s + t - j, s)
+                * yds._c1(K, b, j, n - j)
             )
-            for l in range(n - j):
-                coef = coef * K.q_int(l + j - b)
             key = yds.two_vertex(a, b, s + t - n, n)
             yds._put(K, out, key, coef)
     return out

@@ -119,17 +119,9 @@ def verify_against_fusion(p: int):
 def verify_against_lambda(p: int):
     """Every simple Y defines a character X(r)_nu -> lambda(Y; r, nu) of the
     ring (multiplicative on the diagonalizable quotient): one (label, ok) per
-    (Y, g1, g2)."""
-    from .cyclo import cyclotomic_field
-    from .loop import lambda_closed
+    (Y, g1, g2).  The identity lambda(Y; g1) lambda(Y; g2) = sum m lambda(Y; s)
+    is loop.verify_multiplicativity's."""
+    from .loop import verify_multiplicativity
 
-    K = cyclotomic_field(p)
-    for ry in range(1, p + 1):
-        for nuy in (0, 1):
-            lam = {(r, nu): lambda_closed(K, ry, nuy, r, nu) for (r, nu) in basis(p)}
-            for g1 in basis(p):
-                for g2 in basis(p):
-                    rhs = K.zero
-                    for key, m in ring_multiply(p, {g1: 1}, {g2: 1}).items():
-                        rhs = rhs + K.from_int(m) * lam[key]
-                    yield (ry, nuy, *g1, *g2), lam[g1] * lam[g2] == rhs
+    for y, g1, g2 in product(sorted(basis(p)), basis(p), basis(p)):
+        yield (*y, *g1, *g2), verify_multiplicativity(p, g1, g2, y)

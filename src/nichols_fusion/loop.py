@@ -98,16 +98,14 @@ def dual_identification_two_vertex(K: CycField, a: int, b: int, s: int, t: int):
 
 
 def dual_act_U2(K: CycField, a: int, b: int, s: int, t: int, r: int):
-    """F(r) U^{a,b}_{s,t} = sum_u coef(u) U^{a,b}_{s-r+u, t-u}; list of (u, coef)."""
-    from .ydspace import _c2
+    """F(r) U^{a,b}_{s,t} = sum_u coef(u) U^{a,b}_{s-r+u, t-u}; list of (u, coef).
 
+    u runs only where both cross counts s-r+u and t-u are >= 0.
+    """
+    pre = K.q_pow(r * (r - 1) - r * (b + 2 * s + 2 * t))
     out = []
-    for u in range(r + 1):
-        coef = K.q_pow(r * (r - 1) - r * (b + 2 * s + 2 * t)) * _c2(
-            K, -a, -b, s - r + u, t - u, r, u
-        )
-        if s - r + u < 0 or t - u < 0:
-            continue
+    for u in range(max(r - s, 0), min(r, t) + 1):
+        coef = pre * yds._c2(K, -a, -b, s - r + u, t - u, r, u)
         out.append((u, -coef if r % 2 else coef))
     return out
 
@@ -145,10 +143,6 @@ def sigma2_scalar_one_vertex(K: CycField, a: int, t: int) -> CycNum:
 # loop operators
 
 
-def ribbon_scalar_one_vertex(K: CycField, a: int) -> CycNum:
-    return K.zeta_pow(a * (a + 2))
-
-
 def _loop_weights(K: CycField, b: int) -> tuple:
     """(s, ch(z_s), W_s) for each coevaluation term z_s (x) u_s of X^b, where
 
@@ -159,7 +153,7 @@ def _loop_weights(K: CycField, b: int) -> tuple:
     """
     w = K._loop_W.get(b)
     if w is None:
-        theta = ribbon_scalar_one_vertex(K, b)
+        theta = yds.ribbon_scalar(K, b)
         w = []
         for (z, u), c in coev_one_vertex(K, b).items():
             s = z.crosses[0]
@@ -215,7 +209,7 @@ def chi_apply_first_form(K: CycField, y: dict, b: int) -> dict:
     between Z and its dual instead of sigma_2), composing the full B^2 and B
     before evaluating.  The independent oracle for chi_apply; cross-check only.
     """
-    theta = ribbon_scalar_one_vertex(K, b)
+    theta = yds.ribbon_scalar(K, b)
     legs = {  # (B^2 (x) id)(y (x) coev(X^b)), as {(y', z', u): c}
         (by, bz, u): c * cu
         for (z, u), cu in coev_one_vertex(K, b).items()

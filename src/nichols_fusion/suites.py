@@ -239,7 +239,7 @@ def suite_ribbon(p: int):
 
     def axiom():
         for a, b in product(_charges(p), repeat=2):
-            th = lp.ribbon_scalar_one_vertex(K, a) * lp.ribbon_scalar_one_vertex(K, b)
+            th = yds.ribbon_scalar(K, a) * yds.ribbon_scalar(K, b)
             for s, t in product(range(a % p + 1), range(b % p + 1)):
                 y, z = yds.one_vertex(a, s), yds.one_vertex(b, t)
                 lhs = fu.fusion_map(K, yds.braid_B2(K, {(y, z): th}))
@@ -308,12 +308,10 @@ def suite_duality(p: int):
     _check(out, "duality.ev_is_morphism", ev_morphism())
 
     def c_symmetry():
-        from .ydspace import _c2
-
         for (a, b, s, t), r in product(_one_vertex_pairs(p, 2 * p), range(p)):
             for u in range(r + 1):
-                lhs = _c2(K, a, b, s, t, r, u)
-                rhs = K.q_pow(2 * r * (r + 2 * t + 2 * s - a - b)) * _c2(
+                lhs = yds._c2(K, a, b, s, t, r, u)
+                rhs = K.q_pow(2 * r * (r + 2 * t + 2 * s - a - b)) * yds._c2(
                     K, -a - 2, -b - 2, p - 1 - s - r + u, p - 1 - t - u, r, u
                 )
                 yield (a, b, s, t, r, u), lhs == rhs
@@ -510,6 +508,4 @@ def run_suite(p: int, name: str):
         for key in SUITES:
             results.extend(SUITES[key](p))
         return results
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](p)

@@ -81,23 +81,6 @@ def _put(K, out, bv, coef):
         add_term(out, bv, coef)
 
 
-def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
-    """Coefficient of F(r) |> V^a_s (the one-vertex closed form); memoized on
-    the field.
-
-    Depends on a only through the q-integers [i - a], and [n] depends only on
-    n mod p (q^{2p} = zeta^{4p} = 1), so the cache is keyed by (a mod p, s, r).
-    """
-    key = (a % K.p, s, r)
-    v = K._c1.get(key)
-    if v is None:
-        v = K.q_binom(r + s, r) * K.xi_pow(r)
-        for i in range(s, s + r):
-            v = v * K.q_int(i - a)
-        K._c1[key] = v
-    return v
-
-
 def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
     """Two-vertex action coefficient c^{a,b}_{s,t}(r,u); memoized on the field.
 
@@ -114,6 +97,17 @@ def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
             v = v * K.q_int(t + j - b)
         K._c2[key] = v
     return v
+
+
+def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
+    """Coefficient of F(r) |> V^a_s (the one-vertex closed form): the
+    b = t = u = 0 slice c^{a,0}_{s,0}(r,0) of _c2, read from its memo.
+
+    At u = 0 the factor q^{u(2s-a)} is 1, so a enters only through the
+    q-integers [s+i-a], and [n] depends only on n mod p (q^{2p} = 1); passing
+    a mod p keeps the slice at one entry per (a mod p, s, r).
+    """
+    return _c2(K, a % K.p, 0, s, 0, r, 0)
 
 
 def act_F_basis(K: CycField, bv: BasisVector) -> dict:
@@ -341,11 +335,17 @@ def braid_B2_onepass(K: CycField, x: dict) -> dict:
 # ribbon map
 
 
+def ribbon_scalar(K: CycField, x: int) -> CycNum:
+    """The twist q^{((x+1)^2 - 1)/2} = zeta^{x(x+2)} on a one-vertex vector of
+    charge x; the two-vertex ribbon map carries it as its prefactor."""
+    return K.zeta_pow(x * (x + 2))
+
+
 def ribbon(K: CycField, v: dict) -> dict:
     """theta on 1- and 2-vertex sectors.
 
-    One vertex: theta V^a_s = q^{((a+1)^2 - 1)/2} V^a_s.
-    Two vertices: the prefactor q^{((a+b-2t+1)^2 - 1)/2} times the cross-moving
+    One vertex: theta V^a_s = ribbon_scalar(a) V^a_s.
+    Two vertices: the prefactor ribbon_scalar(a+b-2t) times the cross-moving
     sum over i with coefficient q^{-ia} xi^i [t+i over i] prod_{j<i} [t+j-b],
     which is the action coefficient c^{a,b}_{0,t}(i,i) (_c2).
     """
@@ -353,11 +353,10 @@ def ribbon(K: CycField, v: dict) -> dict:
     for bv, c in v.items():
         if bv.nvertex == 1:
             a = bv.charges[0]
-            add_term(out, bv, c * K.zeta_pow(a * (a + 2)))
+            add_term(out, bv, c * ribbon_scalar(K, a))
         elif bv.nvertex == 2:
             (a, b), (s, t) = bv.charges, bv.crosses
-            x = a + b - 2 * t
-            pre = c * K.zeta_pow(x * (x + 2))
+            pre = c * ribbon_scalar(K, a + b - 2 * t)
             for i in range(s + 1):
                 coef = pre * _c2(K, a, b, 0, t, i, i)
                 _put(K, out, BasisVector(bv.charges, (s - i, t + i)), coef)
@@ -385,13 +384,13 @@ def yd_axiom_check(K: CycField, r: int, v: dict) -> bool:
         n2 = r - n1
         w = act_fn(K, n1, v)
         for g, comp in coact_fn(K, w):
+            if g + n2 >= K.p:
+                continue  # [g+n2 over g] = 0 there
             for key, c in comp.items():
                 chw = key.charge if isinstance(key, BasisVector) else key[0].charge + key[1].charge
-                # psi(F(n2), v) and psi(w_component, F(n2)); v sits 2(n1 - g) lower
-                coef = c * K.q_pow(-n2 * (chw + 2 * (n1 - g))) * K.q_pow(-n2 * chw)
-                if g + n2 < K.p:
-                    coef = coef * K.q_binom(g + n2, g)
-                    add_term(lhs, (g + n2, key), coef)
+                # psi(F(n2), v) psi(w_component, F(n2)); v sits 2(n1 - g) lower
+                coef = c * K.q_pow(-2 * n2 * (chw + n1 - g)) * K.q_binom(g + n2, g)
+                add_term(lhs, (g + n2, key), coef)
     rhs = {}
     for g, comp in coact_fn(K, v):
         for n1 in range(r + 1):

@@ -331,6 +331,7 @@ MUTANTS = [
     ("ydspace", "_c1", _negated),
     ("ydspace", "_c2", _negated),
     ("ydspace", "ribbon", _negated_vector),
+    ("ydspace", "ribbon_scalar", _negated),
     ("fusion", "monodromy_closed_form", _negated_vector),
     ("fusion", "fuse_closed", _nu_shifted),
     ("fusion", "top_extension_vector", _top_corner),

@@ -98,6 +98,39 @@ def test_one_vertex_scalars_equal_their_product_loops(p):
                 assert lp.dual_act_U(K, a, r, s) == _dual_act_U_loop(K, a, r, s), (a, r, s)
 
 
+def _dual_act_U2_filtered(K, a, b, s, t, r):
+    # reference: every u in [0, r] computed, the out-of-range cross counts dropped after
+    out = []
+    for u in range(r + 1):
+        coef = K.q_pow(r * (r - 1) - r * (b + 2 * s + 2 * t)) * yds._c2(
+            K, -a, -b, s - r + u, t - u, r, u
+        )
+        if s - r + u < 0 or t - u < 0:
+            continue
+        out.append((u, -coef if r % 2 else coef))
+    return out
+
+
+def test_dual_act_U2_computes_only_the_terms_it_keeps(monkeypatch):
+    p = 3
+    K = cyclotomic_field(p)
+    c2 = yds._c2
+    negative = []
+
+    def recording(K, a, b, s, t, r, u):
+        if s < 0 or t < 0:
+            negative.append((a, b, s, t, r, u))
+        return c2(K, a, b, s, t, r, u)
+
+    args = [(a, b, s, t, r) for a in range(p) for b in range(p)
+            for s in range(p) for t in range(p) for r in range(p)]
+    monkeypatch.setattr(yds, "_c2", recording)
+    got = [lp.dual_act_U2(K, *x) for x in args]
+    monkeypatch.setattr(yds, "_c2", c2)
+    assert negative == []
+    assert got == [_dual_act_U2_filtered(K, *x) for x in args]
+
+
 def test_sigma2_identity_on_coinvariants_two_vertex():
     K = cyclotomic_field(3)
     v = {yds.two_vertex(1, 2, 0, 1): K.one}

@@ -81,13 +81,14 @@ def _c1_direct(K, a, s, r):
 
 @pytest.mark.parametrize("p", range(2, 8))
 def test_c1_memo_equals_direct_product(p):
-    # the memo is keyed by a mod p; every a in [-2p, 4p) must still get its own value
+    # _c1 reads the _c2 memo with a mod p; every a in [-2p, 4p) must still get
+    # its own value, and the slice holds one entry per (a mod p, s, r)
     K = CycField(p)  # a private field, so the first pass starts from an empty memo
     keys = [(a, s, r) for a in range(-2 * p, 4 * p) for s in range(p) for r in range(p)]
     for _ in ("cold", "warm"):
         for a, s, r in keys:
             assert yds._c1(K, a, s, r) == _c1_direct(K, a, s, r), (a, s, r)
-        assert len(K._c1) == p ** 3
+        assert len(K._c2) == p ** 3
 
 
 def test_c1_memo_is_per_field():
