@@ -17,7 +17,16 @@ one-vertex coefficients are its b = t = u = 0 slice), the loop operator's
 partial-trace table (_loop_W, _loop_T), and every inverse computed so far
 (_inv, keyed by the operand's (num, den)), so a repeated inverse costs one
 dict lookup.
-Multiplying by 1 returns the other operand unchanged, without a convolution.
+
+Products are memoized by hash-consing (Ershov 1958; Filliatre & Conchon,
+"Type-safe modular hash-consing", 2006).  The operands of a multiply and its
+product are interned: _values maps each value to one canonical CycNum, whose
+uid is the value's id in that field.  _mul maps the unordered id pair of two
+operands to their canonical product, so a repeated product of interned
+operands costs one dict lookup.  Ids 0 and 1 are reserved for zero and one;
+multiplying by either returns an operand, without a convolution or a memo
+entry.  Sums and differences are not interned: most of them are never
+multiplied.
 
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
@@ -28,6 +37,7 @@ hot arithmetic is plain integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from math import gcd
 import cmath
 
@@ -78,12 +88,13 @@ class CycNum:
     embedding is a sanity cross-check only, exact arithmetic is authoritative).
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "uid")
 
     def __init__(self, field, num, den):
         self.field = field
         self.num = num  # tuple[int], length = deg Phi_{4p}
         self.den = den  # int > 0, gcd(num..., den) == 1
+        self.uid = -1  # the value's id in field._values, once interned
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -112,12 +123,22 @@ class CycNum:
         f = self.field
         if isinstance(other, int):
             return f._make([a * other for a in self.num], self.den)
-        # values are immutable and canonical, so x * 1 may return x itself
-        one = f.one.num
-        if self.den == 1 and self.num == one:
-            return other
-        if other.den == 1 and other.num == one:
-            return self
+        a = self.uid
+        if a < 0:
+            a = f._intern(self).uid
+        b = other.uid
+        if b < 0:
+            b = f._intern(other).uid
+        # ids 0 and 1 are zero and one: x * 0 is 0 and x * 1 is x, unmemoized
+        if a < 2:
+            return other if a else self
+        if b < 2:
+            return self if b else other
+        # the product commutes, so one entry serves both orders
+        key = a << 32 | b if a < b else b << 32 | a
+        v = f._mul.get(key)
+        if v is not None:
+            return v
         conv = [0] * (2 * f.deg - 1)
         for i, ai in enumerate(self.num):
             if ai:
@@ -133,7 +154,8 @@ class CycNum:
                 for t in range(f.deg):
                     if row[t]:
                         conv[t] += ck * row[t]
-        return f._make(conv[: f.deg], self.den * other.den)
+        v = f._mul[key] = f._intern(f._make(conv[: f.deg], self.den * other.den))
+        return v
 
     __rmul__ = __mul__
 
@@ -184,6 +206,8 @@ class CycNum:
         return f._make(acc, self.den)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, CycNum):
             return NotImplemented
         return self.num == other.num and self.den == other.den and self.field.p == other.field.p
@@ -216,10 +240,16 @@ class CycField:
     The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c2 (filled by
     ydspace._c2, and through it by ydspace._c1), _loop_W and _loop_T (the
     loop weights and partial traces, filled by loop._loop_weights and
-    loop._loop_trace) and _inv (filled by CycNum.inv).  They live as long as
-    the field and grow with the number of distinct keys.  All values are immutable and operations are
-    pure; instances are safe to share across threads (the memo caches are
-    idempotent dict writes).
+    loop._loop_trace), _inv (filled by CycNum.inv), and the hash-consing
+    tables filled by CycNum.__mul__: _values (value key -> canonical CycNum,
+    the key being num when den == 1 and (num, den) otherwise) and _mul
+    (unordered pair of value ids, packed as lo << 32 | hi -> canonical
+    product).  Ids 0 and 1 are zero and one.  They live as long as the field
+    and grow with the number of distinct keys.  All values are immutable and
+    operations are pure; instances are safe to share across threads: the memo
+    caches are idempotent dict writes, and value ids come from an
+    itertools.count, whose next() is atomic, so two threads never draw one
+    id (len(_values) could hand the same id to two new values).
     """
 
     def __init__(self, p: int):
@@ -245,6 +275,11 @@ class CycField:
         self.red_rows = rows
         self.zero = CycNum(self, (0,) * self.deg, 1)
         self.one = self._basis_monomial(0)
+        self._values = {}
+        self._ids = count()
+        self._mul = {}
+        self._intern(self.zero)  # id 0
+        self._intern(self.one)  # id 1
         self._zeta = self._zeta_table()
         # the units k != 1 mod 4p, one Galois automorphism zeta -> zeta^k each
         self.galois_units = tuple(k for k in range(2, self.order) if gcd(k, self.order) == 1)
@@ -271,8 +306,27 @@ class CycField:
             vec = [a // g for a in vec]
             den //= g
         if not any(vec):
-            return self.zero if den == 1 else CycNum(self, (0,) * self.deg, 1)
+            return self.zero
         return CycNum(self, tuple(vec), den)
+
+    def _intern(self, x: CycNum) -> CycNum:
+        """The canonical instance of x's value; sets x.uid to its id.
+
+        A thread that loses the race to intern a new value burns its id, so
+        two ids may name one value, but one id never names two values, which
+        is all the product memo needs.  Ids must fit the 32-bit halves of a
+        _mul key, so the 2**32-th id raises instead of colliding.
+        """
+        key = x.num if x.den == 1 else (x.num, x.den)
+        c = self._values.get(key)
+        if c is None:
+            uid = next(self._ids)
+            if uid >> 32:
+                raise OverflowError("more than 2**32 distinct values in one field")
+            x.uid = uid
+            c = self._values.setdefault(key, x)
+        x.uid = c.uid
+        return c
 
     def _basis_monomial(self, k):
         vec = [0] * self.deg

@@ -1,4 +1,8 @@
+import itertools
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,14 +123,107 @@ def test_xi_pow_equals_power():
 
 
 def test_multiply_by_one_returns_an_equal_value():
-    K = field(5)
+    K = CycField(5)  # a private field, to count its product memo
     x = rational(K, 2, 3) * K.zeta_pow(1) + K.one
     assert x.den == 3
+    entries = len(K._mul)
     for one in (K.one, K.from_int(1)):
         for y in (x, K.zero, K.one):
             for got in (y * one, one * y):
                 assert got == y and hash(got) == hash(y)
                 assert (got.num, got.den) == (y.num, y.den)
+    assert x * K.one is x and K.one * x is x
+    assert x * K.zero is K.zero and K.zero * x is K.zero
+    assert x - x is K.zero and x * (x - x) is K.zero  # one zero, also over den 3
+    assert len(K._mul) == entries  # ids 0 and 1 take no memo entry
+
+
+def fraction_product(x, y):
+    """x * y by a Fraction convolution reduced modulo Phi_{4p}, with no memo."""
+    phi = cyclotomic_poly(x.field.order)
+    deg = len(phi) - 1
+    conv = [Fraction(0)] * (2 * deg - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            conv[i + j] += Fraction(a, x.den) * Fraction(b, y.den)
+    for k in range(2 * deg - 2, deg - 1, -1):  # x^k = x^(k-deg) (x^deg - Phi)
+        c, conv[k] = conv[k], 0
+        for j in range(deg):
+            conv[k - deg + j] -= c * phi[j]
+    return conv[:deg]
+
+
+def as_fractions(x):
+    return [Fraction(c, x.den) for c in x.num]
+
+
+def test_product_memo_equals_fraction_convolution_cold_and_warm():
+    # phi(20) = phi(24) = 8: the same coefficient tuples name different values
+    # in the two fields, so a product that crossed fields would fail here
+    rng = random.Random(20061)
+    K5, K6 = CycField(5), CycField(6)
+    coeffs = [
+        [(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(1, 8))]
+        for _ in range(10)
+    ]
+    for memo in ("cold", "warm"):
+        for K in (K5, K6):
+            operands = [random_elt(K, c) for c in coeffs] + [K.xi(), K.q_int(3), K.zero, K.one]
+            entries = len(K._mul)
+            for x, y in itertools.product(operands, repeat=2):
+                got = x * y
+                assert got.field is K
+                assert as_fractions(got) == fraction_product(x, y), (K.p, memo, x, y)
+            if memo == "warm":
+                assert len(K._mul) == entries  # every product was a memo hit
+    assert (K5.xi() * K5.xi()).num != (K6.xi() * K6.xi()).num
+
+
+def test_interning_from_four_threads_gives_one_value_per_id():
+    K = CycField(6)
+    rng = random.Random(7)
+    coeffs = [[(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3)] for _ in range(12)]
+    seen = [[] for _ in range(4)]
+
+    def work(out, seed):
+        local = random.Random(seed)
+        # each thread builds its own instances of one shared set of values
+        values = [random_elt(K, c) for c in coeffs]
+        for _ in range(300):
+            x, y = local.choice(values), local.choice(values)
+            z = x * y
+            values.append(z)
+            out += (x, y, z)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seen[i], i)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    values_of = {}
+    for x in itertools.chain(*seen, K._values.values()):
+        assert x.uid >= 0
+        values_of.setdefault(x.uid, set()).add((x.num, x.den))
+    assert all(len(v) == 1 for v in values_of.values())
+    for out in seen:
+        assert len(out) == 900
+        for x, y, z in zip(out[::3], out[1::3], out[2::3]):
+            assert as_fractions(z) == fraction_product(x, y)
+
+
+def test_intern_refuses_an_id_that_does_not_fit_the_memo_key():
+    K = CycField(3)
+    K._ids = itertools.count(2**32 - 3)
+    x, y = K.from_int(2) + K.zeta_pow(1), K.from_int(3) + K.zeta_pow(1)
+    assert (x * y).uid == 2**32 - 1  # x, y and their product take the last three ids
+    with pytest.raises(OverflowError):
+        x * (y + K.one)
 
 
 def test_inv_of_one_and_zero():
@@ -232,8 +329,11 @@ def test_inverse_and_product_against_sympy():
         for r in range(1, p):
             operands += [K.q_int(r), K.q_fact(r), (K.q_pow(r) - K.q_pow(-r)) ** 3]
         for memo in ("cold", "warm"):
+            entries = len(K._mul), len(K._inv)
             for x, y in zip(operands, operands[1:] + operands[:1]):
                 if x.is_zero():
                     continue
                 assert as_poly(x.inv()) == sympy.invert(as_poly(x), phi), (p, memo, x)
-                assert as_poly(x * y) == sympy.rem(as_poly(x) * as_poly(y), phi), (p, x, y)
+                assert as_poly(x * y) == sympy.rem(as_poly(x) * as_poly(y), phi), (p, memo, x, y)
+            if memo == "warm":  # the second pass read both memos only
+                assert (len(K._mul), len(K._inv)) == entries

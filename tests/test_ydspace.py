@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nichols_fusion.cyclo import CycField, cyclotomic_field
@@ -57,6 +59,22 @@ def test_charge_shift_sign_law(p):
                             plus = _c2(K, a + p, b, s, t, r, u)
                             base = _c2(K, a, b, s, t, r, u)
                             assert plus == (-base if u % 2 else base)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_c2_is_zero_at_a_negative_cross_count(p):
+    # the duality suite's c_symmetry takes K.zero for its right side at these
+    # keys instead of calling _c2: check every key it skips
+    K = CycField(p)  # a private field, so the zeros stay out of the shared memo
+    skipped = 0
+    pairs = itertools.product(range(2 * p), range(2 * p), range(p), range(p))
+    for (a, b, s, t), r in itertools.product(pairs, range(p)):
+        for u in range(r + 1):
+            s2, t2 = p - 1 - s - r + u, p - 1 - t - u
+            if s2 < 0 or t2 < 0:
+                skipped += 1
+                assert _c2(K, -a - 2, -b - 2, s2, t2, r, u).is_zero(), (a, b, s, t, r, u)
+    assert skipped
 
 
 @pytest.mark.parametrize("p", [2, 3])
