@@ -13,7 +13,8 @@ automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 Each CycField memoizes what is computed over and over: the q-integers,
 q-factorials and q-binomials (_qint, _qfact, _qbinom), the powers of
 xi = 1 - q^2 (_xi_pow), the action coefficients of ydspace (_c2; the
-one-vertex coefficients are its b = t = u = 0 slice), the loop operator's
+one-vertex coefficients are its b = t = u = 0 slice), the one-vertex action
+images F(r) |> V^a_s of ydspace.act_Fr_basis (_act), the loop operator's
 partial-trace table (_loop_W, _loop_T), and every inverse computed so far
 (_inv, keyed by the operand's (num, den)), so a repeated inverse costs one
 dict lookup.
@@ -24,9 +25,10 @@ product are interned: _values maps each value to one canonical CycNum, whose
 uid is the value's id in that field.  _mul maps the unordered id pair of two
 operands to their canonical product, so a repeated product of interned
 operands costs one dict lookup.  Ids 0 and 1 are reserved for zero and one;
-multiplying by either returns an operand, without a convolution or a memo
-entry.  Sums and differences are not interned: most of them are never
-multiplied.
+a multiply by zero returns K.zero and a multiply by one returns the other
+operand, without a convolution or a memo entry.  Every zero the field hands
+out, from _make, negation or a multiply, is the one K.zero.  Sums and
+differences are not interned: most of them are never multiplied.
 
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
@@ -117,6 +119,8 @@ class CycNum:
         return f._make([a * db - b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __neg__(self):
+        if not any(self.num):
+            return self.field.zero
         return CycNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
@@ -129,11 +133,11 @@ class CycNum:
         b = other.uid
         if b < 0:
             b = f._intern(other).uid
-        # ids 0 and 1 are zero and one: x * 0 is 0 and x * 1 is x, unmemoized
+        # ids 0 and 1 are zero and one: x * 0 is K.zero and x * 1 is x, unmemoized
         if a < 2:
-            return other if a else self
+            return other if a else f.zero
         if b < 2:
-            return self if b else other
+            return self if b else f.zero
         # the product commutes, so one entry serves both orders
         key = a << 32 | b if a < b else b << 32 | a
         v = f._mul.get(key)
@@ -238,14 +242,17 @@ class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
     The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c2 (filled by
-    ydspace._c2, and through it by ydspace._c1), _loop_W and _loop_T (the
-    loop weights and partial traces, filled by loop._loop_weights and
-    loop._loop_trace), _inv (filled by CycNum.inv), and the hash-consing
-    tables filled by CycNum.__mul__: _values (value key -> canonical CycNum,
-    the key being num when den == 1 and (num, den) otherwise) and _mul
-    (unordered pair of value ids, packed as lo << 32 | hi -> canonical
-    product).  Ids 0 and 1 are zero and one.  They live as long as the field
-    and grow with the number of distinct keys.  All values are immutable and
+    ydspace._c2, and through it by ydspace._c1), _act (the one-vertex images
+    F(r) |> V^a_s for r >= 1, keyed by (r, basis vector) and filled by
+    ydspace.act_Fr_basis; two-vertex images are not cached), _loop_W and
+    _loop_T (the loop weights and partial traces, filled by
+    loop._loop_weights and loop._loop_trace), _inv (filled by CycNum.inv),
+    and the hash-consing tables filled by CycNum.__mul__: _values (value key
+    -> canonical CycNum, the key being num when den == 1 and (num, den)
+    otherwise) and _mul (unordered pair of value ids, packed as
+    lo << 32 | hi -> canonical product).  Ids 0 and 1 are zero and one.  They
+    live as long as the field and grow with the number of distinct keys.  All
+    values are immutable (the _act images are dicts, shared read-only) and
     operations are pure; instances are safe to share across threads: the memo
     caches are idempotent dict writes, and value ids come from an
     itertools.count, whose next() is atomic, so two threads never draw one
@@ -288,6 +295,7 @@ class CycField:
         self._qbinom = {}
         self._xi_pow = {0: self.one, 1: self.one - self.q_pow(2)}
         self._c2 = {}
+        self._act = {}
         self._loop_W = {}
         self._loop_T = {}
         self._inv = {}

@@ -330,6 +330,7 @@ MUTANTS = [
     ("classify", "classify_coinvariant", _b_cells_as_x),
     ("ydspace", "_c1", _negated),
     ("ydspace", "_c2", _negated),
+    ("ydspace", "act_Fr_basis", _negated_vector),
     ("ydspace", "ribbon", _negated_vector),
     ("ydspace", "ribbon_scalar", _negated),
     ("fusion", "monodromy_closed_form", _negated_vector),

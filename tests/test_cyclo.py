@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols_fusion.cyclo import CycField, cyclotomic_field, cyclotomic_poly
+from nichols_fusion.cyclo import CycField, CycNum, cyclotomic_field, cyclotomic_poly
 
 
 def field(p):
@@ -136,6 +136,18 @@ def test_multiply_by_one_returns_an_equal_value():
     assert x * K.zero is K.zero and K.zero * x is K.zero
     assert x - x is K.zero and x * (x - x) is K.zero  # one zero, also over den 3
     assert len(K._mul) == entries  # ids 0 and 1 take no memo entry
+
+
+def test_every_zero_is_the_field_zero():
+    K = CycField(5)  # a private field, to count its product memo
+    x = K.q_pow(1)
+    entries = len(K._mul)
+    assert -K.zero is K.zero
+    assert (-K.zero) * x is K.zero and x * (-K.zero) is K.zero
+    stray = CycNum(K, (0,) * K.deg, 1)
+    assert x * stray is K.zero and stray * x is K.zero
+    assert -stray is K.zero
+    assert len(K._mul) == entries  # a multiply by zero takes no memo entry
 
 
 def fraction_product(x, y):

@@ -119,6 +119,69 @@ def test_c1_memo_is_per_field():
     assert v5.num != v6.num
 
 
+def _act_Fr_iterated(K, r, bv):
+    """F(r) |> bv as [r]!^-1 F^r |> bv, by r single-F actions: no closed form, no memo."""
+    out = {bv: K.q_fact(r).inv()}
+    for _ in range(r):
+        out = yds.act_F(K, out)
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_one_vertex_action_memo_equals_iterated_action(p):
+    # charges in [-3p, 4p) include the r - 1 - nu*p of the ribbon and fusion suites
+    K = CycField(p)  # a private field, so the first pass starts from an empty memo
+    keys = [
+        (r, one_vertex(a, s)) for a in range(-3 * p, 4 * p) for s in range(p) for r in range(1, p)
+    ]
+    want = {key: _act_Fr_iterated(K, *key) for key in keys}
+    for _ in ("cold", "warm"):
+        for key in keys:
+            assert yds.act_Fr_basis(K, *key) == want[key], key
+        assert K._act.keys() == set(keys)
+
+
+def test_action_memo_holds_only_one_vertex_images():
+    K = CycField(3)
+    for r in range(3):
+        for a, b, s, t in itertools.product(range(3), repeat=4):
+            yds.act_Fr_basis(K, r, two_vertex(a, b, s, t))
+    for s in range(3):
+        yds.act_Fr_basis(K, 0, one_vertex(1, s))
+    assert K._act == {}
+    yds.act_Fr_basis(K, 2, one_vertex(1, 0))
+    assert list(K._act) == [(2, one_vertex(1, 0))]
+    # a repeated call hands back the stored image itself
+    assert yds.act_Fr_basis(K, 2, one_vertex(1, 0)) is K._act[(2, one_vertex(1, 0))]
+
+
+@pytest.mark.usefixtures("fresh_fields")
+@pytest.mark.parametrize("p", [3, 4])
+def test_suites_leave_the_shared_action_images_unchanged(p):
+    from nichols_fusion import suites
+
+    for name in ("braiding", "ribbon", "duality", "fusion", "loop"):
+        suites.SUITES[name](p)
+    K = cyclotomic_field(p)
+    assert K._act
+    for (r, bv), image in K._act.items():
+        assert r >= 1 and bv.nvertex == 1
+        assert image == _act_Fr_iterated(K, r, bv), (r, bv)
+
+
+def test_action_memo_is_per_field():
+    # phi(20) = phi(24) = 8, and every key below is the same in both fields
+    K5, K6 = CycField(5), CycField(6)
+    for r, a, s in itertools.product(range(1, 5), range(-5, 5), range(5)):
+        bv = one_vertex(a, s)
+        w5, w6 = yds.act_Fr_basis(K5, r, bv), yds.act_Fr_basis(K6, r, bv)
+        assert w5 is not w6
+        assert all(c.field is K5 for c in w5.values())
+        assert all(c.field is K6 for c in w6.values())
+        assert w5 == _act_Fr_iterated(K5, r, bv) and w6 == _act_Fr_iterated(K6, r, bv)
+    assert K5._act is not K6._act
+
+
 def test_coact_examples():
     K = cyclotomic_field(4)
     assert yds.coact(K, {one_vertex(2, 0): K.one}) == [(0, {one_vertex(2, 0): K.one})]
