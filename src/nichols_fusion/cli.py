@@ -148,8 +148,6 @@ def _render(payload: dict, fmt: str) -> str:
         return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
     if fmt == "csv":
         rows = payload.get("table") or payload.get("summands") or payload.get("checks") or [payload]
-        if not rows:
-            return ""
         cols = sorted({k for row in rows for k in row})
         lines = [",".join(cols)]
         for row in rows:

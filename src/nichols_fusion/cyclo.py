@@ -10,14 +10,8 @@ element is zero iff its coefficient vector is zero.  Inverses come from the
 Galois norm: x^-1 = prod_{k != 1} sigma_k(x) / N(x), with sigma_k the
 automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 
-Each CycField memoizes what is computed over and over: the q-integers,
-q-factorials and q-binomials (_qint, _qfact, _qbinom), the powers of
-xi = 1 - q^2 (_xi_pow), the action coefficients of ydspace (_c2; the
-one-vertex coefficients are its b = t = u = 0 slice), the one-vertex action
-images F(r) |> V^a_s of ydspace.act_Fr_basis (_act), the loop operator's
-partial-trace table (_loop_W, _loop_T), and every inverse computed so far
-(_inv, keyed by the operand's (num, den)), so a repeated inverse costs one
-dict lookup.
+Each CycField memoizes what is computed over and over, one table per derived
+quantity; the CycField docstring lists the tables and what fills them.
 
 Products are memoized by hash-consing (Ershov 1958; Filliatre & Conchon,
 "Type-safe modular hash-consing", 2006).  The operands of a multiply and its
@@ -241,18 +235,27 @@ class CycNum:
 class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
-    The memo caches are _qint, _qfact, _qbinom, _xi_pow, _c2 (filled by
-    ydspace._c2, and through it by ydspace._c1), _act (the one-vertex images
-    F(r) |> V^a_s for r >= 1, keyed by (r, basis vector) and filled by
-    ydspace.act_Fr_basis; two-vertex images are not cached), _loop_W and
-    _loop_T (the loop weights and partial traces, filled by
-    loop._loop_weights and loop._loop_trace), _inv (filled by CycNum.inv),
-    and the hash-consing tables filled by CycNum.__mul__: _values (value key
-    -> canonical CycNum, the key being num when den == 1 and (num, den)
-    otherwise) and _mul (unordered pair of value ids, packed as
-    lo << 32 | hi -> canonical product).  Ids 0 and 1 are zero and one.  They
-    live as long as the field and grow with the number of distinct keys.  All
-    values are immutable (the _act images are dicts, shared read-only) and
+    The memo tables, one per derived quantity:
+      _qint, _qfact   the q-integers [r] and q-factorials [r]!, r < p, as
+                      tuples built here ([r + p] = [r], and [r]! = 0 for r >= p);
+      _qbinom         the q-binomials, filled by q_binom;
+      _xi_pow         the powers of xi = 1 - q^2, filled by xi_pow;
+      _c2             the action coefficients, filled by ydspace._c2 (the
+                      one-vertex ydspace._c1 is its b = t = u = 0 slice);
+      _act            the one-vertex images F(r) |> V^a_s for r >= 1, keyed by
+                      (r, basis vector), filled by ydspace.act_Fr_basis;
+                      two-vertex images are not cached;
+      _loop_T         one loop partial-trace table per loop charge b, filled
+                      by loop._loop_table;
+      _inv            every inverse so far, keyed by the operand's (num, den),
+                      filled by CycNum.inv;
+      _values, _mul   the hash-consing tables filled by CycNum.__mul__: value
+                      key -> canonical CycNum (the key being num when
+                      den == 1 and (num, den) otherwise), and unordered pair of
+                      value ids, packed as lo << 32 | hi -> canonical product.
+                      Ids 0 and 1 are zero and one.
+    They live as long as the field and grow with the number of distinct keys.
+    All values are immutable (the _act images are dicts, shared read-only) and
     operations are pure; instances are safe to share across threads: the memo
     caches are idempotent dict writes, and value ids come from an
     itertools.count, whose next() is atomic, so two threads never draw one
@@ -290,13 +293,19 @@ class CycField:
         self._zeta = self._zeta_table()
         # the units k != 1 mod 4p, one Galois automorphism zeta -> zeta^k each
         self.galois_units = tuple(k for k in range(2, self.order) if gcd(k, self.order) == 1)
-        self._qint = {}
-        self._qfact = {0: self.one}
+        # q^2 is a primitive p-th root of unity, so [r] depends on r mod p only
+        qint = [self.zero]
+        for i in range(p - 1):
+            qint.append(qint[-1] + self.q_pow(2 * i))
+        self._qint = tuple(qint)
+        qfact = [self.one]
+        for r in range(1, p):
+            qfact.append(qfact[-1] * qint[r])
+        self._qfact = tuple(qfact)
         self._qbinom = {}
         self._xi_pow = {0: self.one, 1: self.one - self.q_pow(2)}
         self._c2 = {}
         self._act = {}
-        self._loop_W = {}
         self._loop_T = {}
         self._inv = {}
 
@@ -343,13 +352,10 @@ class CycField:
 
     def _zeta_table(self):
         # canonical forms of zeta^0 .. zeta^{4p-1}
-        table = []
-        cur = self.one
-        z = self._basis_monomial(1) if self.deg > 1 else None
-        for k in range(self.order):
-            table.append(cur)
-            if z is not None:
-                cur = cur * z
+        table = [self.one]
+        z = self._basis_monomial(1)  # deg = phi(4p) >= 4, so zeta is a basis monomial
+        for _ in range(self.order - 1):
+            table.append(table[-1] * z)
         return table
 
     def from_int(self, n: int) -> CycNum:
@@ -364,33 +370,18 @@ class CycField:
         return self._zeta[(2 * k) % self.order]
 
     def q_int(self, r: int) -> CycNum:
-        """The q-integer [r] = (q^{2r} - 1)/(q^2 - 1), division-free.
+        """The q-integer [r] = (q^{2r} - 1)/(q^2 - 1), for any integer r.
 
-        For r >= 0 this is the sum 1 + q^2 + ... + q^{2(r-1)}; negative
-        arguments (which occur throughout the module actions) use the exact
-        reflection [r] = -q^{2r} [-r].
+        [r] = 1 + q^2 + ... + q^{2(r-1)} for 0 <= r < p, and [r + p] = [r]
+        because q^2 is a primitive p-th root of unity.
         """
-        v = self._qint.get(r)
-        if v is None:
-            if r >= 0:
-                acc = self.zero
-                for i in range(r):
-                    acc = acc + self.q_pow(2 * i)
-                v = acc
-            else:
-                v = -(self.q_pow(2 * r) * self.q_int(-r))
-            self._qint[r] = v
-        return v
+        return self._qint[r % self.p]
 
     def q_fact(self, r: int) -> CycNum:
-        """[r]! = [1][2]...[r], for r >= 0."""
+        """[r]! = [1][2]...[r], for r >= 0; zero from r = p on, where [p] = 0."""
         if r < 0:
             raise ValueError("q_fact needs r >= 0")
-        v = self._qfact.get(r)
-        if v is None:
-            v = self.q_fact(r - 1) * self.q_int(r)
-            self._qfact[r] = v
-        return v
+        return self._qfact[r] if r < self.p else self.zero
 
     def q_binom(self, n: int, k: int) -> CycNum:
         """Gaussian binomial [n over k] at q^2, by the q-Pascal recursion.

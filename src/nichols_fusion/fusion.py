@@ -87,36 +87,6 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     return out
 
 
-def monodromy_display_full(K: CycField, a: int, b: int, s: int, t: int) -> dict:
-    """The published triple sum read literally (outer sum over i >= n kept).
-
-    Not the production closed form and not part of any verification suite;
-    only tests/test_fusion.py calls it, as the evidence that this literal
-    reading of the display disagrees with fused_monodromy.
-    """
-    out = {}
-    for n in range(s + t + 1):
-        for i in range(n, s + t + 1):
-            for j in range(min(i, t) + 1):
-                e = a * b + 2 * j * (j - 1) + (i - n - 1) * (i - n) - 2 * b * j + a * (n - 2 * i - t)
-                coef = (
-                    K.q_pow(e)
-                    * K.xi_pow(i - j)
-                    * K.q_binom(i, j)
-                    * K.q_binom(s + t - j, s)
-                    * K.q_binom(s + t - n, i - n)
-                )
-                for l in range(i - j):
-                    coef = coef * K.q_int(l + j - b)
-                if coef.is_zero():
-                    continue
-                key = yds.two_vertex(a, b, s + t - n, n)
-                if any(c >= K.p for c in key.crosses):
-                    continue
-                yds.add_term(out, key, coef)
-    return out
-
-
 def fused_monodromy(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     """fusion_map composed with the double braiding, computed compositionally."""
     x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}

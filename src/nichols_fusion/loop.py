@@ -26,9 +26,10 @@ chi_apply evaluates this diagram as a partial trace over Z.  The evaluation
 pairs the Z leg with u_s only where it came back to its starting cross count
 s, so of B^2(y (x) z_s) only the z-diagonal block is needed: the second
 braiding must hand back to y exactly the F(g) that the first one pushed onto
-z.  Everything that then happens to z_s is one scalar per (b, g, ch(y_g)),
-memoized on the field.  chi_apply_first_form composes the full maps of the
-first diagram instead and is kept as the independent oracle.
+z.  Everything that then happens to z_s is one scalar per (g, ch(y_g) mod 2p),
+held in one table per b and memoized on the field.  chi_apply_first_form
+composes the full maps of the first diagram instead and is kept as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -143,43 +144,35 @@ def sigma2_scalar_one_vertex(K: CycField, a: int, t: int) -> CycNum:
 # loop operators
 
 
-def _loop_weights(K: CycField, b: int) -> tuple:
-    """(s, ch(z_s), W_s) for each coevaluation term z_s (x) u_s of X^b, where
+def _loop_table(K: CycField, b: int) -> tuple:
+    """T_b[g][c] = sum_{s+g<p} W_s q^{c ch(z_s)} c1(b, s, g) for g < p and
+    c < 2p: the z-diagonal block of B^2 against X^b, for a y leg of charge c
+    that gave F(g) to z; memoized on the field (K._loop_T, keyed by b).
 
-        W_s = theta_b * sigma_2(b, s) * zeta^{ch(z_s) ch(u_s)} * coev_s * <u_s, z_s>
-
-    is everything the loop diagram does to z_s after the double braiding;
-    memoized on the field (K._loop_W, keyed by b).
+    W_s = theta_b * sigma_2(b, s) * zeta^{ch(z_s) ch(u_s)} * coev_s * <u_s, z_s>
+    is everything the loop diagram does to z_s after the double braiding, for
+    each coevaluation term z_s (x) u_s of X^b.  c enters only through
+    q^{c ch(z_s)}, and q^{2p} = 1, so a charge c is read at c mod 2p.
     """
-    w = K._loop_W.get(b)
-    if w is None:
+    table = K._loop_T.get(b)
+    if table is None:
         theta = yds.ribbon_scalar(K, b)
-        w = []
+        weights = []  # (s, ch(z_s), W_s)
         for (z, u), c in coev_one_vertex(K, b).items():
             s = z.crosses[0]
             coef = theta * sigma2_scalar_one_vertex(K, b, s) * K.zeta_pow(z.charge * u.charge)
-            w.append((s, z.charge, coef * ev(K, {(u, z): c})))
-        w = K._loop_W[b] = tuple(w)
-    return w
-
-
-def _loop_trace(K: CycField, b: int, g: int, c: int) -> CycNum:
-    """T_b(g, c) = sum_{s+g<p} W_s q^{c ch(z_s)} c1(b, s, g): the z-diagonal
-    block of B^2 against X^b, for a y leg of charge c that gave F(g) to z;
-    memoized on the field (K._loop_T).
-
-    c enters only through q^{c ch(z_s)}, and q^{2p} = 1, so the cache is keyed
-    by (b, g, c mod 2p).
-    """
-    key = (b, g, c % (2 * K.p))
-    v = K._loop_T.get(key)
-    if v is None:
-        v = K.zero
-        for s, ch, w in _loop_weights(K, b):
-            if s + g < K.p:
-                v = v + w * K.q_pow(c * ch) * yds._c1(K, b, s, g)
-        K._loop_T[key] = v
-    return v
+            weights.append((s, z.charge, coef * ev(K, {(u, z): c})))
+        rows = []
+        for g in range(K.p):
+            terms = [(ch, w * yds._c1(K, b, s, g)) for s, ch, w in weights if s + g < K.p]
+            rows.append(
+                tuple(
+                    sum((K.q_pow(c * ch) * wc for ch, wc in terms), K.zero)
+                    for c in range(2 * K.p)
+                )
+            )
+        table = K._loop_T[b] = tuple(rows)
+    return table
 
 
 def chi_apply(K: CycField, y: dict, b: int) -> dict:
@@ -192,14 +185,16 @@ def chi_apply(K: CycField, y: dict, b: int) -> dict:
     hand F(k) back to y_g and leaves z_{s+g-k}; ev pairs that with u_s only
     if s+g-k = s, so only k = g survives, and
 
-        chi(y) = sum_{g} T_b(g, ch(y_g)) F(g) |> y_g
+        chi(y) = sum_{g} T_b[g][ch(y_g) mod 2p] F(g) |> y_g
 
-    with T_b from _loop_trace.  Works for y in any implemented sector (one- or
-    two-vertex), so P modules can be run through it directly.
+    with T_b the table of _loop_table, fetched once per call.  Works for y in
+    any implemented sector (one- or two-vertex), so P modules can be run
+    through it directly.
     """
+    table, period = _loop_table(K, b), 2 * K.p
 
     def image(bv):
-        return yds.act_by_coaction(K, bv, lambda g, wy: _loop_trace(K, b, g, wy.charge))
+        return yds.act_by_coaction(K, bv, lambda g, wy: table[g][wy.charge % period])
 
     return yds.linear_extend(image, y)
 

@@ -394,7 +394,7 @@ def suite_fusion(p: int):
                 for r in range(p)
             )
             yield (a, b, s, t), ok and yds.commutes_with_coaction(
-                K, lambda w: fu.fusion_map(K, w), x, coact_fn=yds.tensor_coact
+                K, lambda w: fu.fusion_map(K, w), x
             )
 
     _check(out, "fusion.map_is_morphism", intertwiner())

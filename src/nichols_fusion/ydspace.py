@@ -251,13 +251,19 @@ def tensor_coact(K: CycField, x: dict) -> list[tuple[int, dict]]:
     return sorted((r, comp) for r, comp in comps.items() if comp)
 
 
-def commutes_with_coaction(K: CycField, f, x: dict, coact_fn=coact) -> bool:
+def _is_tensor(v: dict) -> bool:
+    """Whether v is a TensorVec (keys are pairs) rather than a YDVec."""
+    return any(not isinstance(k, BasisVector) for k in v)
+
+
+def commutes_with_coaction(K: CycField, f, x: dict) -> bool:
     """delta(f(x)) == (id (x) f)(delta x), compared degree by degree.
 
-    coact_fn is the coaction on the source of f (tensor_coact for a map out of
-    a tensor product); empty components are dropped on both sides.
+    The coaction on the source of f is read off x: tensor_coact for a
+    TensorVec, coact otherwise.  Empty components are dropped on both sides.
     """
     lhs = dict(coact(K, f(x)))
+    coact_fn = tensor_coact if _is_tensor(x) else coact
     rhs = {r: fc for r, comp in coact_fn(K, x) if (fc := f(comp))}
     return lhs.keys() == rhs.keys() and all(vec_eq(lhs[r], rhs[r]) for r in lhs)
 
@@ -390,7 +396,7 @@ def yd_axiom_check(K: CycField, r: int, v: dict) -> bool:
     Works on plain module vectors and on tensor products (dispatch on the key
     shape).  Both sides land in B_p (x) M, encoded as {(degree, key): coeff}.
     """
-    tensor = any(not isinstance(k, BasisVector) for k in v)
+    tensor = _is_tensor(v)
     act_fn = tensor_act_Fr if tensor else act_Fr
     coact_fn = tensor_coact if tensor else coact
     lhs = {}

@@ -68,9 +68,23 @@ def test_q_int_basics():
         assert K.q_int(0).is_zero()
         assert K.q_int(1) == K.one
         assert K.q_int(p).is_zero()  # q^2 is a primitive p-th root of unity
+        # the p-entry table, read at r mod p, against the direct sum
+        for r in range(3 * p):
+            assert K.q_int(r) == sum((K.q_pow(2 * i) for i in range(r)), K.zero), r
         # reflection law for negative arguments
-        for r in range(-2 * p, 2 * p):
+        for r in range(1 - 3 * p, 3 * p):
             assert K.q_int(r) == -(K.q_pow(2 * r) * K.q_int(-r))
+        assert len(K._qint) == len(K._qfact) == p
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_q_fact_vanishes_from_p_on(p):
+    K = field(p)
+    for r in range(p, 2 * p + 1):
+        assert K.q_fact(r).is_zero(), r
+    with pytest.raises(ValueError):
+        K.q_fact(-1)
+    assert len(K._qfact) == p
 
 
 def test_q_int_negative_example():

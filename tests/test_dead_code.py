@@ -13,9 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nichols_fusion"
 
 # qualified name -> why it stays without a caller in src/
 ALLOWED = {
-    "fusion.monodromy_display_full": "the published monodromy display read "
-    "literally, kept as the evidence that this reading disagrees with the "
-    "fused monodromy (tests/test_fusion.py)",
     "linalg.Echelon.coordinates": "the benchmark tracer wraps it by name; it "
     "goes with Echelon's tag mode once the benchmark drops that span",
 }

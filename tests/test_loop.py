@@ -5,6 +5,7 @@ from nichols_fusion import ydspace as yds
 from nichols_fusion import loop as lp
 from nichols_fusion import classify as cl
 from nichols_fusion import nichols as ni
+from nichols_fusion.suites import suite_loop
 from nichols_fusion.ydspace import one_vertex
 
 
@@ -24,6 +25,27 @@ def lambda_ab(K, a, b):
     num = K.q_pow((a + 1) * (b + 1)) - K.q_pow(-(a + 1) * (b + 1))
     den = K.q_pow(a + 1) - K.q_pow(-(a + 1))
     return num * den.inv()
+
+
+def _loop_weights(K, b):
+    # reference: (s, ch(z_s), W_s) for each coevaluation term z_s (x) u_s of
+    # X^b, W_s = theta_b sigma_2(b, s) zeta^{ch(z_s) ch(u_s)} coev_s <u_s, z_s>
+    theta = yds.ribbon_scalar(K, b)
+    out = []
+    for (z, u), c in lp.coev_one_vertex(K, b).items():
+        s = z.crosses[0]
+        coef = theta * lp.sigma2_scalar_one_vertex(K, b, s) * K.zeta_pow(z.charge * u.charge)
+        out.append((s, z.charge, coef * lp.ev(K, {(u, z): c})))
+    return out
+
+
+def _loop_trace(K, b, g, c):
+    # reference: the loop table entry T_b[g][c] summed on its own
+    v = K.zero
+    for s, ch, w in _loop_weights(K, b):
+        if s + g < K.p:
+            v = v + w * K.q_pow(c * ch) * yds._c1(K, b, s, g)
+    return v
 
 
 def test_ev_one_vertex_deltas():
@@ -263,6 +285,30 @@ def test_chi_commutes_with_structure():
         for r in range(1, p + 1):
             for nu in (0, 1):
                 _assert_commutes(K, ys, r - 1 - nu * p)
+
+
+@pytest.mark.usefixtures("fresh_fields")
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_loop_table_is_one_p_by_2p_table_per_b(monkeypatch, p):
+    # the loop suite leaves one table per loop charge b that chi_apply was
+    # called with, each of p x 2p entries equal to the per-entry trace
+    seen = set()
+    chi_apply = lp.chi_apply
+
+    def recording(K, y, b):
+        seen.add(b)
+        return chi_apply(K, y, b)
+
+    monkeypatch.setattr(lp, "chi_apply", recording)
+    assert all(check.ok for check in suite_loop(p))
+    K = cyclotomic_field(p)
+    assert seen and K._loop_T.keys() == seen
+    for b, table in K._loop_T.items():
+        assert len(table) == p and all(len(row) == 2 * p for row in table), b
+        for g, row in enumerate(table):
+            for c, entry in enumerate(row):
+                assert entry == _loop_trace(K, b, g, c), (b, g, c)
+    assert len(K._qint) == len(K._qfact) == p
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -327,6 +327,11 @@ def test_ribbon_examples():
                 assert got == {two_vertex(a, b, 0, t): K.zeta_pow(x * (x + 2))}
 
 
+def _flip(x):
+    # y (x) z -> z (x) y on a TensorVec, with no braiding scalar
+    return {(bz, by): c for (by, bz), c in x.items()}
+
+
 def test_commutes_with_coaction_is_not_vacuous():
     from nichols_fusion.fusion import fusion_map
 
@@ -334,10 +339,13 @@ def test_commutes_with_coaction_is_not_vacuous():
     for a in range(6):
         v = {one_vertex(a, 1): K.one}
         assert yds.commutes_with_coaction(K, lambda w: yds.ribbon(K, w), v)
+        # the coaction on a TensorVec is inferred from its keys: tensor_coact
         x = {(one_vertex(a, 1), one_vertex(2, 1)): K.one}
-        assert yds.commutes_with_coaction(
-            K, lambda w: fusion_map(K, w), x, coact_fn=yds.tensor_coact
-        )
+        assert yds.commutes_with_coaction(K, lambda w: fusion_map(K, w), x)
+        # fusing the flipped pair drops the braiding scalar: the coaction
+        # degrees still agree, the coefficients do not (except where the
+        # two legs are equal)
+        assert yds.commutes_with_coaction(K, lambda w: fusion_map(K, _flip(w)), x) == (a == 2)
     # F raises the cross count, so F(v) has a coaction degree that delta(v) lacks
     for bv in (one_vertex(1, 0), two_vertex(1, 2, 1, 0)):
         assert not yds.commutes_with_coaction(K, lambda w: yds.act_F(K, w), {bv: K.one})
