@@ -21,8 +21,10 @@ operands to their canonical product, so a repeated product of interned
 operands costs one dict lookup.  Ids 0 and 1 are reserved for zero and one;
 a multiply by zero returns K.zero and a multiply by one returns the other
 operand, without a convolution or a memo entry.  Every zero the field hands
-out, from _make, negation or a multiply, is the one K.zero.  Sums and
-differences are not interned: most of them are never multiplied.
+out, from _make, negation, a sum or a multiply, is the one K.zero.  Sums and
+differences are not interned: most of them are never multiplied.  When both
+operands have denominator 1 a sum or difference adds the coefficient tuples
+directly and skips _make's gcd scan, which a denominator of 1 never needs.
 
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
@@ -35,6 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 from math import gcd
+from operator import add, sub
 import cmath
 
 
@@ -100,6 +103,9 @@ class CycNum:
 
     def __add__(self, other):
         f = self.field
+        if self.den == 1 == other.den:
+            num = tuple(map(add, self.num, other.num))
+            return CycNum(f, num, 1) if any(num) else f.zero
         if self.den == other.den:
             return f._make([a + b for a, b in zip(self.num, other.num)], self.den)
         da, db = self.den, other.den
@@ -107,6 +113,9 @@ class CycNum:
 
     def __sub__(self, other):
         f = self.field
+        if self.den == 1 == other.den:
+            num = tuple(map(sub, self.num, other.num))
+            return CycNum(f, num, 1) if any(num) else f.zero
         if self.den == other.den:
             return f._make([a - b for a, b in zip(self.num, other.num)], self.den)
         da, db = self.den, other.den

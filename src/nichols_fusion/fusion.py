@@ -74,15 +74,13 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     """
     out = {}
     for n in range(s + t + 1):
-        pre = K.q_pow(a * b - a * (n + t))
+        key = yds.two_vertex(a, b, s + t - n, n)
         for j in range(min(n, t) + 1):
             coef = (
-                pre
-                * K.q_pow(2 * j * (j - 1) - 2 * b * j)
+                K.q_pow(a * b + 2 * j * (j - 1) - 2 * b * j - a * (n + t))
                 * K.q_binom(s + t - j, s)
                 * yds._c1(K, b, j, n - j)
             )
-            key = yds.two_vertex(a, b, s + t - n, n)
             yds._put(K, out, key, coef)
     return out
 

@@ -6,6 +6,11 @@ rows of an Echelon.  The vocabulary for them lives here, at the bottom of the
 import graph: add_term, linear_extend, scale(vec, coef), vec_sub and vec_eq.
 ydspace re-exports it.
 
+vec_eq(a, b) is exactly ``not vec_sub(a, b)``, decided in place without a
+difference dict: every key of a is in b (an explicit zero in a that b lacks
+counts as a difference, as vec_sub keeps it), and at each key of b, a holds an
+equal value or b's value is zero and a has none.
+
 Echelon pivots are chosen at the smallest key of each row, which keeps
 elimination cheap for the triangular families produced by the fusion map.
 """
@@ -47,7 +52,17 @@ def vec_sub(vec: dict, other: dict) -> dict:
 
 
 def vec_eq(a: dict, b: dict) -> bool:
-    return not vec_sub(a, b)
+    """not vec_sub(a, b), with no difference dict and no negation."""
+    if any(k not in b for k in a):
+        return False
+    for k, c in b.items():
+        ca = a.get(k)
+        if ca is None:
+            if not c.is_zero():
+                return False
+        elif ca is not c and ca != c:
+            return False
+    return True
 
 
 class Echelon:

@@ -363,3 +363,47 @@ def test_inverse_and_product_against_sympy():
                 assert as_poly(x * y) == sympy.rem(as_poly(x) * as_poly(y), phi), (p, memo, x, y)
             if memo == "warm":  # the second pass read both memos only
                 assert (len(K._mul), len(K._inv)) == entries
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_den1_sums_equal_the_general_path(p):
+    # a fresh field, so the counting _make below shadows no shared field
+    K = CycField(p)
+    rng = random.Random(p)
+    make_calls = []
+
+    def counting_make(vec, den):
+        make_calls.append(den)
+        return CycField._make(K, vec, den)
+
+    K._make = counting_make
+    vecs = [tuple(rng.randint(-3, 3) for _ in range(K.deg)) for _ in range(40)]
+    vecs += [(0,) * K.deg, (1,) + (0,) * (K.deg - 1)]
+    elts = [CycNum(K, v, 1) if any(v) else K.zero for v in vecs]
+    for x in elts:
+        for y in (rng.choice(elts), x, -x):
+            del make_calls[:]
+            s, d = x + y, x - y
+            assert not make_calls  # den 1 on both sides: no gcd scan
+            want_s = CycField._make(K, [a + b for a, b in zip(x.num, y.num)], 1)
+            want_d = CycField._make(K, [a - b for a, b in zip(x.num, y.num)], 1)
+            assert (s.num, s.den) == (want_s.num, want_s.den)
+            assert (d.num, d.den) == (want_d.num, want_d.den)
+            assert (s is K.zero) == (not any(want_s.num))
+            assert (d is K.zero) == (not any(want_d.num))
+        assert x - x is K.zero and x + (-x) is K.zero
+        # a non-unit denominator on either side keeps the general path
+        for den in (2, 3):
+            h = CycField._make(K, list(rng.choice(vecs)), den)
+            if h.den == 1:
+                continue
+            for u, v in ((x, h), (h, x), (h, h)):
+                del make_calls[:]
+                got_s, got_d = u + v, u - v
+                assert len(make_calls) == 2
+                du, dv = u.den, v.den
+                want_s = CycField._make(K, [a * dv + b * du for a, b in zip(u.num, v.num)], du * dv)
+                want_d = CycField._make(K, [a * dv - b * du for a, b in zip(u.num, v.num)], du * dv)
+                assert (got_s.num, got_s.den) == (want_s.num, want_s.den)
+                assert (got_d.num, got_d.den) == (want_d.num, want_d.den)
+            assert h - h is K.zero

@@ -1,5 +1,7 @@
-from nichols_fusion.cyclo import cyclotomic_field
-from nichols_fusion.linalg import Echelon, linear_extend
+from hypothesis import given, settings, strategies as st
+
+from nichols_fusion.cyclo import CycNum, cyclotomic_field
+from nichols_fusion.linalg import Echelon, linear_extend, vec_eq, vec_sub
 
 
 def test_stored_row_is_not_the_callers_vector():
@@ -60,3 +62,64 @@ def test_linear_extend_drops_cancelling_terms_and_empty_images():
     assert got == {0: K.from_int(3), 2: K.from_int(-6)}
     assert linear_extend(images.__getitem__, {"z": K.one}) == {}
     assert linear_extend(images.__getitem__, {}) == {}
+
+
+def _value_pool(K):
+    """Values with unit and non-unit denominators, a canonical zero and a
+    second zero instance, each built fresh so identity never stands in for
+    equality."""
+    deg = K.deg
+    return [
+        lambda: K.zero,
+        lambda: CycNum(K, (0,) * deg, 1),
+        lambda: K._make([1] + [0] * (deg - 1), 1),
+        lambda: K._make([0, 2, -1] + [0] * (deg - 3), 1),
+        lambda: K._make([1, 2] + [0] * (deg - 2), 3),
+        lambda: K._make([1, 2] + [0] * (deg - 2), 6),
+        lambda: K._make([-3] + [0] * (deg - 2) + [5], 2),
+    ]
+
+
+POOL5 = _value_pool(cyclotomic_field(5))
+
+
+@st.composite
+def _vec_pairs(draw):
+    keys = st.integers(0, 3)
+    vals = st.integers(0, len(POOL5) - 1)
+    a = draw(st.dictionaries(keys, vals, max_size=4))
+    # start b from a half the time, so that equal pairs are common
+    b = dict(a) if draw(st.booleans()) else {}
+    b.update(draw(st.dictionaries(keys, vals, max_size=2)))
+    for k in draw(st.lists(keys, max_size=2)):
+        b.pop(k, None)
+    return {k: POOL5[i]() for k, i in a.items()}, {k: POOL5[i]() for k, i in b.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vec_pairs())
+def test_vec_eq_is_not_vec_sub(pair):
+    a, b = pair
+    assert vec_eq(a, b) == (not vec_sub(a, b))
+
+
+def test_vec_eq_hand_cases():
+    K = cyclotomic_field(5)
+    third = K._make([1, 1] + [0] * (K.deg - 2), 3)
+    a = {0: K.one, 1: third, 2: K.zeta_pow(3)}
+    assert vec_eq(a, dict(a))
+    assert vec_eq(a, {k: K._make(list(c.num), c.den) for k, c in a.items()})
+    # one coefficient differs
+    assert not vec_eq(a, {**a, 1: third + K.one})
+    assert not vec_eq(a, {**a, 1: K._make(list(third.num), 6)})
+    # an extra key on either side
+    assert not vec_eq(a, {**a, 3: K.one})
+    assert not vec_eq({**a, 3: K.one}, a)
+    # an explicit zero in b where a has no key is no difference; one in a is
+    # kept by vec_sub, so it is a difference
+    assert vec_eq(a, {**a, 3: K.zero})
+    assert vec_eq(a, {**a, 3: CycNum(K, (0,) * K.deg, 1)})
+    assert not vec_eq({**a, 3: K.zero}, a)
+    assert vec_eq({**a, 3: K.zero}, {**a, 3: CycNum(K, (0,) * K.deg, 1)})
+    assert vec_eq({}, {}) and vec_eq({}, {0: K.zero}) and not vec_eq({0: K.zero}, {})
+    assert not vec_eq({}, {0: K.one}) and not vec_eq({0: K.one}, {})

@@ -364,3 +364,68 @@ def test_three_vertex_sector_is_unsupported(apply):
     K = cyclotomic_field(2)
     with pytest.raises(ValueError):
         apply(K, BasisVector((0, 0, 0), (0, 0, 0)))
+
+
+def _oracle_inputs(K):
+    """One-vertex pairs, two-vertex keys on either side, and multi-term
+    vectors with non-unit coefficients (so each term's lifted coefficient
+    differs)."""
+    p = K.p
+    third = K._make([1, 2] + [0] * (K.deg - 2), 3)
+    coefs = [K.one, third, K.q_int(2) + K.zeta_pow(1), K.from_int(-2)]
+    xs = []
+    for a, b, s, t in itertools.product(range(2 * p), range(p), range(p), range(p)):
+        xs.append({(one_vertex(a, s), one_vertex(b, t)): K.one})
+        if (a + s + t) % 3 == 0:
+            xs.append({(two_vertex(a, b, s, t), one_vertex(b, s)): third})
+            xs.append({(one_vertex(a, t), two_vertex(b, a, t, s)): K.one})
+    keys = [
+        (one_vertex(1, p - 1), one_vertex(2, 1)),
+        (one_vertex(p + 1, 1), two_vertex(1, 2, 1, p - 1)),
+        (two_vertex(3, 1, p - 1, 1), one_vertex(0, p - 1)),
+        (two_vertex(2, p, 1, 1), two_vertex(1, 1, 0, 1)),
+    ]
+    xs.append(dict(zip(keys, coefs)))
+    xs.append({k: c for k, c in zip(keys[::-1], coefs) if c != K.one})
+    return xs
+
+
+def _raises(*_args, **_kw):
+    raise AssertionError("the one-pass oracle must not read this")
+
+
+@pytest.mark.usefixtures("fresh_fields")
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_b2_onepass_reads_no_braiding_or_closed_form(monkeypatch, p):
+    from nichols_fusion import fusion as fu
+
+    K = cyclotomic_field(p)
+    xs = _oracle_inputs(K)
+    refs = [yds.braid_B2(K, x) for x in xs]
+    assert any(len(x) > 1 for x in xs) and all(refs[-2:])
+    monkeypatch.setattr(yds, "braid_B", _raises)
+    monkeypatch.setattr(yds, "braid_B_inv", _raises)
+    monkeypatch.setattr(fu, "monodromy_closed_form", _raises)
+    for x, ref in zip(xs, refs):
+        assert yds.vec_eq(yds.braid_B2_onepass(K, x), ref), x
+    # the oracle does read the antipode: negating it changes every nonzero output
+    antipode = ni.antipode_coeff
+    monkeypatch.setattr(ni, "antipode_coeff", lambda K, r: -antipode(K, r))
+    for x, ref in zip(xs, refs):
+        assert yds.vec_eq(yds.braid_B2_onepass(K, x), ref) == (not ref), x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_act_Fr_range_guard_on_a_warm_field(p):
+    K = CycField(p)
+    bvs = [one_vertex(a, s) for a in range(-p, 3 * p) for s in range(p)]
+    for bv in bvs:
+        for r in range(1, p):
+            yds.act_Fr_basis(K, r, bv)
+    warm = len(K._act)
+    assert warm == len(bvs) * (p - 1)
+    for bv in bvs:
+        for r in (-1, p, p + 1):
+            with pytest.raises(ValueError):
+                yds.act_Fr_basis(K, r, bv)
+    assert len(K._act) == warm
