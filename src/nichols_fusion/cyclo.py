@@ -22,9 +22,10 @@ operands costs one dict lookup.  Ids 0 and 1 are reserved for zero and one;
 a multiply by zero returns K.zero and a multiply by one returns the other
 operand, without a convolution or a memo entry.  Every zero the field hands
 out, from _make, negation, a sum or a multiply, is the one K.zero.  Sums and
-differences are not interned: most of them are never multiplied.  When both
-operands have denominator 1 a sum or difference adds the coefficient tuples
-directly and skips _make's gcd scan, which a denominator of 1 never needs.
+differences are not interned: most of them are never multiplied.  _make
+returns a vector over denominator 1 as it is, without the gcd scan, which
+a denominator of 1 never needs; that serves every sum or difference of two
+den-1 operands and every integer multiple of one.
 
 Coefficients are stored as an integer vector over a single positive
 denominator, normalized by their gcd.  Almost every structure constant in the
@@ -37,7 +38,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 from math import gcd
-from operator import add, sub
 import cmath
 
 
@@ -103,9 +103,6 @@ class CycNum:
 
     def __add__(self, other):
         f = self.field
-        if self.den == 1 == other.den:
-            num = tuple(map(add, self.num, other.num))
-            return CycNum(f, num, 1) if any(num) else f.zero
         if self.den == other.den:
             return f._make([a + b for a, b in zip(self.num, other.num)], self.den)
         da, db = self.den, other.den
@@ -113,9 +110,6 @@ class CycNum:
 
     def __sub__(self, other):
         f = self.field
-        if self.den == 1 == other.den:
-            num = tuple(map(sub, self.num, other.num))
-            return CycNum(f, num, 1) if any(num) else f.zero
         if self.den == other.den:
             return f._make([a - b for a, b in zip(self.num, other.num)], self.den)
         da, db = self.den, other.den
@@ -319,6 +313,8 @@ class CycField:
         self._inv = {}
 
     def _make(self, vec, den) -> CycNum:
+        if den == 1:  # nothing to divide out
+            return CycNum(self, tuple(vec), 1) if any(vec) else self.zero
         if den < 0:
             den = -den
             vec = [-a for a in vec]

@@ -142,23 +142,22 @@ def act_Fr_basis(K: CycField, r: int, bv: BasisVector) -> dict:
     never mutate it.  Two-vertex images are rebuilt on each call: there are
     far more of them (7,060 images of every sector after verify --p 5 --suite
     all, against 460 one-vertex ones), and caching them all raised that
-    command's peak RSS by 12 %.  The memo is read first: only a valid
-    (r, bv) is ever stored, so a hit needs no range check.
+    command's peak RSS by 12 %.
     """
-    out = K._act.get((r, bv))
-    if out is not None:
-        return out
     if not 0 <= r <= K.p - 1:
         raise ValueError(f"F({r}) is outside the basis for p={K.p}")
     if r == 0:
         return {bv: K.one}
     n = bv.nvertex
-    out = {}
     if n == 1:
-        a, s = bv.charges[0], bv.crosses[0]
-        _put(K, out, BasisVector(bv.charges, (s + r,)), _c1(K, a, s, r))
-        K._act[(r, bv)] = out
+        out = K._act.get((r, bv))
+        if out is None:
+            out = {}
+            a, s = bv.charges[0], bv.crosses[0]
+            _put(K, out, BasisVector(bv.charges, (s + r,)), _c1(K, a, s, r))
+            K._act[(r, bv)] = out
         return out
+    out = {}
     if n == 2:
         (a, b), (s, t) = bv.charges, bv.crosses
         for u in range(r + 1):
@@ -325,11 +324,9 @@ def braid_B2_onepass(K: CycField, x: dict) -> dict:
     scalars are folded where they are loop invariant: the coefficient of
     y (x) z times A(F(k)) times the coefficient of each term of F(k) |> y_00
     once per (m, k, term), and the three crossings psi(y_0, z),
-    psi(F(m2), F(g)) and psi(F(m2) |> z_0, y_0) into one power of zeta.
-    Folding only regroups the products of each term; the diagram and its sum
-    are unchanged.  Keeping psi(y_0, z) as a factor of its own instead costs
-    one more multiply per m and 17 % more product-memo entries after the
-    p = 8 braiding suite (102,254 against 87,182).
+    psi(F(m2), F(g)) and psi(F(m2) |> z_0, y_0) into one power of zeta,
+    which keeps the product memo small.  Folding only regroups the products
+    of each term; the diagram and its sum are unchanged.
     """
     out = {}
     for (by, bz), c in x.items():

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,45 +366,45 @@ def test_inverse_and_product_against_sympy():
                 assert (len(K._mul), len(K._inv)) == entries
 
 
+def _normalized(vec, den):
+    """(num, den) of vec/den reduced by the gcd of all its entries, den > 0."""
+    if den < 0:
+        vec, den = [-a for a in vec], -den
+    g = gcd(den, *vec)
+    return tuple(a // g for a in vec), den // g
+
+
 @pytest.mark.parametrize("p", range(2, 8))
 def test_den1_sums_equal_the_general_path(p):
-    # a fresh field, so the counting _make below shadows no shared field
-    K = CycField(p)
+    K = field(p)
     rng = random.Random(p)
-    make_calls = []
-
-    def counting_make(vec, den):
-        make_calls.append(den)
-        return CycField._make(K, vec, den)
-
-    K._make = counting_make
-    vecs = [tuple(rng.randint(-3, 3) for _ in range(K.deg)) for _ in range(40)]
-    vecs += [(0,) * K.deg, (1,) + (0,) * (K.deg - 1)]
-    elts = [CycNum(K, v, 1) if any(v) else K.zero for v in vecs]
+    vecs = [[rng.randint(-3, 3) for _ in range(K.deg)] for _ in range(40)]
+    vecs += [[0] * K.deg, [1] + [0] * (K.deg - 1), [2, -4] + [6] * (K.deg - 2)]
+    # _make takes a vector over denominator 1 as it is
+    for v in vecs:
+        x = K._make(list(v), 1)
+        assert (x.num, x.den) == _normalized(v, 1)
+        assert (x is K.zero) == (not any(v))
+    elts = [K._make(list(v), 1) for v in vecs]
     for x in elts:
         for y in (rng.choice(elts), x, -x):
-            del make_calls[:]
             s, d = x + y, x - y
-            assert not make_calls  # den 1 on both sides: no gcd scan
-            want_s = CycField._make(K, [a + b for a, b in zip(x.num, y.num)], 1)
-            want_d = CycField._make(K, [a - b for a, b in zip(x.num, y.num)], 1)
-            assert (s.num, s.den) == (want_s.num, want_s.den)
-            assert (d.num, d.den) == (want_d.num, want_d.den)
-            assert (s is K.zero) == (not any(want_s.num))
-            assert (d is K.zero) == (not any(want_d.num))
+            assert (s.num, s.den) == _normalized([a + b for a, b in zip(x.num, y.num)], 1)
+            assert (d.num, d.den) == _normalized([a - b for a, b in zip(x.num, y.num)], 1)
+            assert (s is K.zero) == (not any(s.num))
+            assert (d is K.zero) == (not any(d.num))
         assert x - x is K.zero and x + (-x) is K.zero
-        # a non-unit denominator on either side keeps the general path
-        for den in (2, 3):
-            h = CycField._make(K, list(rng.choice(vecs)), den)
-            if h.den == 1:
-                continue
+        m = x * 6
+        assert (m.num, m.den) == _normalized([6 * a for a in x.num], 1)
+        # a non-unit denominator on either side keeps the gcd scan
+        for den in (2, 3, -6):
+            h = K._make(list(rng.choice(vecs)), den)
+            assert (h.num, h.den) == _normalized(h.num, h.den) and h.den > 0
             for u, v in ((x, h), (h, x), (h, h)):
-                del make_calls[:]
-                got_s, got_d = u + v, u - v
-                assert len(make_calls) == 2
                 du, dv = u.den, v.den
-                want_s = CycField._make(K, [a * dv + b * du for a, b in zip(u.num, v.num)], du * dv)
-                want_d = CycField._make(K, [a * dv - b * du for a, b in zip(u.num, v.num)], du * dv)
-                assert (got_s.num, got_s.den) == (want_s.num, want_s.den)
-                assert (got_d.num, got_d.den) == (want_d.num, want_d.den)
+                got_s, got_d = u + v, u - v
+                want_s = _normalized([a * dv + b * du for a, b in zip(u.num, v.num)], du * dv)
+                want_d = _normalized([a * dv - b * du for a, b in zip(u.num, v.num)], du * dv)
+                assert (got_s.num, got_s.den) == want_s
+                assert (got_d.num, got_d.den) == want_d
             assert h - h is K.zero
