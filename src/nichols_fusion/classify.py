@@ -236,39 +236,30 @@ def decompose_space(p: int, n: int):
             d = classify_one_vertex(p, a)
             key = ("S", p) if d.kind == "S" else ("V", d.r)
             counts[key] = counts.get(key, 0) + 1
-        dim = p * counts.get(("S", p), 0) + sum(
-            p * m for (k, r), m in counts.items() if k == "V"
-        )
-        if dim != p * p:
-            raise yds.VerificationError(f"one-vertex summands have dimension {dim}")
-        return counts, dim
-    if n != 2:
+    elif n == 2:
+        grid = classification_grid(p)
+        b_count: dict[int, int] = {}
+        for (a, b, t), d in grid.items():
+            if d.kind == "S":
+                counts[("S", p)] = counts.get(("S", p), 0) + 1
+            elif d.kind == "X":
+                counts[("V", d.r)] = counts.get(("V", d.r), 0) + 1
+            elif d.kind == "L":
+                counts[("P", d.r)] = counts.get(("P", d.r), 0) + 1
+                # the bottom partner B(p-r) must sit at t+r in the same column
+                partner = grid[(a, b, t + d.r)]
+                if (partner.kind, partner.r) != ("B", p - d.r):
+                    raise yds.VerificationError(f"{d} at {(a, b, t)} has partner {partner}")
+            else:
+                b_count[d.r] = b_count.get(d.r, 0) + 1
+        for r in range(1, p):
+            if b_count.get(r, 0) != counts.get(("P", p - r), 0):
+                raise yds.VerificationError(f"B[{r}] count differs from the P[{p - r}] count")
+    else:
         raise ValueError("only the 1- and 2-vertex spaces decompose here")
-    grid = classification_grid(p)
-    b_count: dict[int, int] = {}
-    for (a, b, t), d in grid.items():
-        if d.kind == "S":
-            counts[("S", p)] = counts.get(("S", p), 0) + 1
-        elif d.kind == "X":
-            counts[("V", d.r)] = counts.get(("V", d.r), 0) + 1
-        elif d.kind == "L":
-            counts[("P", d.r)] = counts.get(("P", d.r), 0) + 1
-            # the bottom partner B(p-r) must sit at t+r in the same column
-            partner = grid[(a, b, t + d.r)]
-            if (partner.kind, partner.r) != ("B", p - d.r):
-                raise yds.VerificationError(f"{d} at {(a, b, t)} has partner {partner}")
-        else:
-            b_count[d.r] = b_count.get(d.r, 0) + 1
-    for r in range(1, p):
-        if b_count.get(r, 0) != counts.get(("P", p - r), 0):
-            raise yds.VerificationError(f"B[{r}] count differs from the P[{p - r}] count")
-    dim = (
-        p * counts.get(("S", p), 0)
-        + sum(p * m for (k, r), m in counts.items() if k == "V")
-        + sum(2 * p * m for (k, r), m in counts.items() if k == "P")
-    )
-    if dim != p**4:
-        raise yds.VerificationError(f"two-vertex summands have dimension {dim}")
+    dim = sum(m * ModuleDescriptor(k, r, 0).dimension(p) for (k, r), m in counts.items())
+    if dim != p ** (2 * n):
+        raise yds.VerificationError(f"{('one', 'two')[n - 1]}-vertex summands have dimension {dim}")
     return counts, dim
 
 

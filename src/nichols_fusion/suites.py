@@ -160,16 +160,16 @@ def suite_yd(p: int):
     out = []
 
     def one_vertex():
-        for a, s, r in product(range(2 * p), range(p), range(p)):
-            v = {yds.one_vertex(a, s): K.one}
-            yield (a, s, r), yds.yd_axiom_check(K, r, v)
+        for a, s in product(range(2 * p), range(p)):
+            for r, ok in yds.yd_axiom_checks(K, {yds.one_vertex(a, s): K.one}):
+                yield (a, s, r), ok
 
     _check(out, "yd.one_vertex", one_vertex())
 
     def two_vertex():
-        for (a, b, s, t), r in product(_two_vertex_basis(p), range(p)):
-            v = {yds.two_vertex(a, b, s, t): K.one}
-            yield (a, b, s, t, r), yds.yd_axiom_check(K, r, v)
+        for a, b, s, t in _two_vertex_basis(p):
+            for r, ok in yds.yd_axiom_checks(K, {yds.two_vertex(a, b, s, t): K.one}):
+                yield (a, b, s, t, r), ok
 
     _check(out, "yd.two_vertex", two_vertex())
 
@@ -177,19 +177,21 @@ def suite_yd(p: int):
 
         def tensor():
             for a, b in product(range(2 * p), repeat=2):
-                for s, t, r in product(range(a % p + 1), range(b % p + 1), range(p)):
+                for s, t in product(range(a % p + 1), range(b % p + 1)):
                     x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-                    yield (a, b, s, t, r), yds.yd_axiom_check(K, r, x)
+                    for r, ok in yds.yd_axiom_checks(K, x):
+                        yield (a, b, s, t, r), ok
 
         _check(out, "yd.tensor_products", tensor())
 
     def closed_vs_iterated():
-        for (a, b, s, t), r in product(_two_vertex_basis(p), range(p)):
+        for a, b, s, t in _two_vertex_basis(p):
             bv = yds.two_vertex(a, b, s, t)
-            it = {bv: K.q_fact(r).inv()}
-            for _ in range(r):
-                it = yds.act_F(K, it)
-            yield (a, b, s, t, r), yds.vec_eq(yds.act_Fr_basis(K, r, bv), it)
+            it = {bv: K.one}  # F^r |> bv = [r]! F(r) |> bv, and [r]! != 0 for r < p
+            for r in range(p):
+                it = yds.act_F(K, it) if r else it
+                want = yds.scale(yds.act_Fr_basis(K, r, bv), K.q_fact(r))
+                yield (a, b, s, t, r), yds.vec_eq(want, it)
 
     _check(out, "yd.closed_form_action", closed_vs_iterated())
     return out

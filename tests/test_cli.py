@@ -250,6 +250,48 @@ def test_fusion_extension_defect_is_a_fail_line(monkeypatch):
     assert "FAIL fusion.theorem_both_paths " in proc.stdout
 
 
+@pytest.mark.usefixtures("fresh_fields")
+def test_yd_images_are_built_as_r_grows(monkeypatch):
+    # an F(2) image that raises must surface at instance 3 (r = 2) of the first
+    # two-vertex vector, not at r = 0 as an eager build would report it; the
+    # FAIL lines must not depend on python -O
+    from nichols_fusion import ydspace as yds
+
+    act = yds.act_Fr_basis
+
+    def broken(K, r, bv):
+        if r == 2 and bv.nvertex == 2:
+            raise yds.VerificationError("planted at r = 2")
+        return act(K, r, bv)
+
+    detail = "[first failure: instance 3 (1 failing); instance 3 raised: planted at r = 2]"
+    want = [f"FAIL yd.{name} (checks=3)  {detail}" for name in ("two_vertex", "closed_form_action")]
+    monkeypatch.setattr(yds, "act_Fr_basis", broken)
+    code, out = run_cli(["verify", "--p", "3", "--suite", "yd"])
+    assert code == 2, out
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL ")] == want, out
+
+    script = (
+        "import sys\n"
+        "from nichols_fusion import ydspace as yds\n"
+        "act = yds.act_Fr_basis\n"
+        "def broken(K, r, bv):\n"
+        "    if r == 2 and bv.nvertex == 2:\n"
+        "        raise yds.VerificationError('planted at r = 2')\n"
+        "    return act(K, r, bv)\n"
+        "yds.act_Fr_basis = broken\n"
+        "from nichols_fusion.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "verify", "--p", "3", "--suite", "yd", "--no-cache"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("FAIL ")] == want, proc.stdout
+
+
 def test_code_change_misses_the_cache(tmp_path):
     # a private copy of the package, run in child processes sharing one cache
     pkg = tmp_path / "src" / "nichols_fusion"

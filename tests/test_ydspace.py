@@ -237,19 +237,96 @@ def test_module_axiom_over_closed_forms():
                             assert yds.vec_eq(lhs, rhs)
 
 
+def yd_axiom_check(K, r, v):
+    # reference: both sides of the Yetter-Drinfeld axiom for one F(r), each
+    # side in its own loop, every image rebuilt for this r alone
+    tensor = yds._is_tensor(v)
+    act_fn = yds.tensor_act_Fr if tensor else yds.act_Fr
+    coact_fn = yds.tensor_coact if tensor else yds.coact
+    lhs = {}
+    for n1 in range(r + 1):
+        n2 = r - n1
+        w = act_fn(K, n1, v)
+        for g, comp in coact_fn(K, w):
+            if g + n2 >= K.p:
+                continue  # [g+n2 over g] = 0 there
+            for key, c in comp.items():
+                chw = key.charge if isinstance(key, BasisVector) else key[0].charge + key[1].charge
+                # psi(F(n2), v) psi(w_component, F(n2)); v sits 2(n1 - g) lower
+                coef = c * K.q_pow(-2 * n2 * (chw + n1 - g)) * K.q_binom(g + n2, g)
+                yds.add_term(lhs, (g + n2, key), coef)
+    rhs = {}
+    for g, comp in coact_fn(K, v):
+        for n1 in range(r + 1):
+            n2 = r - n1
+            if n1 + g >= K.p:
+                continue
+            coef0 = K.q_pow(2 * n2 * g) * K.q_binom(n1 + g, n1)
+            acted = act_fn(K, n2, comp)
+            for key, c in acted.items():
+                yds.add_term(rhs, (n1 + g, key), coef0 * c)
+    return yds.vec_eq(lhs, rhs)
+
+
+def _yd_vectors(K):
+    """Every one-vertex vector with a in [-p, 3p), every two-vertex vector, the
+    one-vertex tensor products for p <= 3, and multi-term vectors with
+    non-unit coefficients (mixed charges and mixed cross counts)."""
+    p = K.p
+    out = [{one_vertex(a, s): K.one} for a in range(-p, 3 * p) for s in range(p)]
+    out += [{two_vertex(*key): K.one} for key in itertools.product(range(p), repeat=4)]
+    if p <= 3:
+        out += [
+            {(one_vertex(a, s), one_vertex(b, t)): K.one}
+            for a, b in itertools.product(range(2 * p), repeat=2)
+            for s, t in itertools.product(range(a % p + 1), range(b % p + 1))
+        ]
+    two, xi = K.from_int(2), K.xi()
+    out += [
+        {one_vertex(1, 0): two, one_vertex(1, p - 1): xi, one_vertex(p + 2, 1 % p): -K.one},
+        {two_vertex(0, 1, 1 % p, 0): xi, two_vertex(2, 1, 0, p - 1): two},
+        {(one_vertex(1, 1 % p), one_vertex(0, 0)): two, (one_vertex(3, 0), one_vertex(1, 0)): xi},
+    ]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_yd_axiom_checks_equal_the_per_r_reference(p, monkeypatch):
+    K = cyclotomic_field(p)
+    for v in _yd_vectors(K):
+        got = list(yds.yd_axiom_checks(K, v))
+        assert got == [(r, yd_axiom_check(K, r, v)) for r in range(p)], v
+        assert got == [(r, True) for r in range(p)], v
+    if p < 3:
+        return
+    # F(2) images negated: both forms fail from r = 2 on, and agree on every r
+    act = yds.act_Fr_basis
+
+    def broken(K, r, bv):
+        image = act(K, r, bv)
+        return {key: -c for key, c in image.items()} if r == 2 else image
+
+    monkeypatch.setattr(yds, "act_Fr_basis", broken)
+    for v in _yd_vectors(K):
+        got = list(yds.yd_axiom_checks(K, v))
+        assert got == [(r, yd_axiom_check(K, r, v)) for r in range(p)], v
+    for v in ({two_vertex(0, 0, 1, 1): K.one}, {one_vertex(p - 1, 0): K.one}):
+        assert list(yds.yd_axiom_checks(K, v)) == [(0, True), (1, True)] + [
+            (r, False) for r in range(2, p)
+        ], v
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_yd_axiom_including_shifted_charges(p):
     K = cyclotomic_field(p)
+    want = [(r, True) for r in range(p)]
     for a in range(-1, 2 * p):
         for s in range(p):
-            v = {one_vertex(a, s): K.one}
-            for r in range(p):
-                assert yds.yd_axiom_check(K, r, v)
+            assert list(yds.yd_axiom_checks(K, {one_vertex(a, s): K.one})) == want
     for a in range(2 * p):
         for b in range(p):
             v = {two_vertex(a, b, 1 % p, p - 1): K.one}
-            for r in range(p):
-                assert yds.yd_axiom_check(K, r, v)
+            assert list(yds.yd_axiom_checks(K, v)) == want
 
 
 def test_yd_axiom_on_tensor_products():
@@ -257,8 +334,7 @@ def test_yd_axiom_on_tensor_products():
     for a in range(4):
         for b in range(4):
             x = {(one_vertex(a, 0), one_vertex(b, b % 2)): K.one}
-            for r in range(2):
-                assert yds.yd_axiom_check(K, r, x)
+            assert list(yds.yd_axiom_checks(K, x)) == [(0, True), (1, True)]
 
 
 def test_tensor_act_leibniz_example():
