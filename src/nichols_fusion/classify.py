@@ -88,22 +88,15 @@ def classify_coinvariant(p: int, a: int, b: int, t: int) -> ModuleDescriptor:
 
 
 def _f_image_contains(K: CycField, coinv: BasisVector) -> bool:
-    # F raises the cross grade by one, so solve F x = coinv on the grade below
+    # F raises the cross grade by one, so solve F x = coinv on the grade below;
+    # the caller passes two-vertex coinvariants only
     p = K.p
     grade = sum(coinv.crosses)
     if grade == 0:
         return False
     ech = Echelon(K)
-    if coinv.nvertex == 1:
-        sources = [BasisVector(coinv.charges, (grade - 1,))]
-    else:
-        sources = [
-            BasisVector(coinv.charges, (s, grade - 1 - s))
-            for s in range(grade)
-            if grade - 1 - s <= p - 1 and s <= p - 1
-        ]
-    for src in sources:
-        img = yds.act_F_basis(K, src)
+    for s in range(max(grade - p, 0), min(grade, p)):  # both cross counts below p
+        img = yds.act_F_basis(K, BasisVector(coinv.charges, (s, grade - 1 - s)))
         if img:
             ech.add(img)
     return ech.contains({coinv: K.one})

@@ -255,17 +255,19 @@ def _write_atomic(path: Path, text: str):
 
 
 def _cached(args, key: str, build):
+    """The payload stored under key, if it is one for this command and p;
+    otherwise build() it and store it over whatever the entry held."""
     if args.no_cache:
         return build()
     cdir = _cache_dir(args)
     path = cdir / f"{key}-{_source_digest()}.json"
-    if path.exists():
-        try:
-            stored = json.loads(path.read_text())
-            if stored.get("schema") == SCHEMA_VERSION:
-                return stored
-        except (ValueError, OSError):
-            pass
+    try:
+        stored = json.loads(path.read_text())
+    except (ValueError, OSError):
+        stored = None
+    want = {"schema": SCHEMA_VERSION, "command": args.command, "p": args.p}
+    if isinstance(stored, dict) and all(stored.get(k) == v for k, v in want.items()):
+        return stored
     payload = build()
     try:
         cdir.mkdir(parents=True, exist_ok=True)
@@ -321,6 +323,8 @@ def main(argv=None) -> int:
         parser.error("p must be at least 2")
     if args.p > args.max_p:
         parser.error(f"p={args.p} exceeds the cap {args.max_p} (raise with --max-p)")
+    if args.out and not Path(args.out).parent.is_dir():
+        parser.error(f"--out: {Path(args.out).parent} is not a directory")
 
     if args.command == "fusion":
         key = f"fusion-p{args.p}-nu{args.nu_mod}"
@@ -351,7 +355,10 @@ def main(argv=None) -> int:
     text = _render(payload, fmt)
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            parser.error(f"--out: cannot write {args.out}: {exc.strerror or exc}")
     return 0 if payload.get("ok", True) else 2
 
 

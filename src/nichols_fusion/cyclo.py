@@ -3,12 +3,14 @@
 Every scalar in the system is a CycNum.  We work with zeta rather than with
 q = zeta^2 = exp(i*pi/p) because half-integer powers of q occur (in the
 vertex-vertex braiding and in the ribbon map); all of them are integer powers
-of zeta.  Elements are polynomials in zeta with rational coefficients, held in
-canonical form reduced modulo the 4p-th cyclotomic polynomial Phi_{4p}.
-Reducing modulo Phi_{4p} (not zeta^{4p} - 1) keeps the quotient a field, so an
-element is zero iff its coefficient vector is zero.  Inverses come from the
-Galois norm: x^-1 = prod_{k != 1} sigma_k(x) / N(x), with sigma_k the
-automorphism zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
+of zeta.  q^p = zeta^{2p} = -1, so a signed power of q is one table entry:
+(-1)^k q^e = q^{e + pk}, interned like every entry of the table.  Elements
+are polynomials in zeta with rational coefficients, held in canonical form
+reduced modulo the 4p-th cyclotomic polynomial Phi_{4p}.  Reducing modulo
+Phi_{4p} (not zeta^{4p} - 1) keeps the quotient a field, so an element is
+zero iff its coefficient vector is zero.  Inverses come from the Galois norm:
+x^-1 = prod_{k != 1} sigma_k(x) / N(x), with sigma_k the automorphism
+zeta -> zeta^k for each unit k mod 4p, and N(x) rational.
 
 Each CycField memoizes what is computed over and over, one table per derived
 quantity; the CycField docstring lists the tables and what fills them.

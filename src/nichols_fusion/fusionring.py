@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from .fusion import FusionResult, fusion_table
+
 
 def x_gen(p: int, r: int, nu: int) -> dict:
     if not 1 <= r <= p:
@@ -101,8 +103,6 @@ def verify_against_fusion(p: int):
     """Module-level fusion (dimension data forgotten, nu taken mod 2) must
     reproduce the ring product: one (label, ok) per ordered pair of simples;
     a pair whose two fusion paths disagree fails."""
-    from .fusion import FusionResult, fusion_table
-
     for key, res in fusion_table(p, range(4)).items():
         if not isinstance(res, FusionResult):
             yield key, False
@@ -114,14 +114,3 @@ def verify_against_fusion(p: int):
                 img[k] = img.get(k, 0) + m
         r1, nu1, r2, nu2 = key
         yield key, img == ring_multiply(p, x_gen(p, r1, nu1), x_gen(p, r2, nu2))
-
-
-def verify_against_lambda(p: int):
-    """Every simple Y defines a character X(r)_nu -> lambda(Y; r, nu) of the
-    ring (multiplicative on the diagonalizable quotient): one (label, ok) per
-    (Y, g1, g2).  The identity lambda(Y; g1) lambda(Y; g2) = sum m lambda(Y; s)
-    is loop.verify_multiplicativity's."""
-    from .loop import verify_multiplicativity
-
-    for y, g1, g2 in product(sorted(basis(p)), basis(p), basis(p)):
-        yield (*y, *g1, *g2), verify_multiplicativity(p, g1, g2, y)

@@ -4,7 +4,8 @@ Every linear object in the package is a sparse dict {key: CycNum} holding only
 nonzero coefficients: elements of B_p, YDVec and TensorVec in ydspace, and the
 rows of an Echelon.  The vocabulary for them lives here, at the bottom of the
 import graph: add_term, linear_extend, scale(vec, coef), vec_sub and vec_eq.
-ydspace re-exports it.
+ydspace re-exports it.  VerificationError lives here too, so every module
+can raise it without importing upward.
 
 vec_eq(a, b) is exactly ``not vec_sub(a, b)``, decided in place without a
 difference dict: every key of a is in b (an explicit zero in a that b lacks
@@ -18,6 +19,14 @@ elimination cheap for the triangular families produced by the fusion map.
 from __future__ import annotations
 
 from .cyclo import CycNum
+
+
+class VerificationError(AssertionError):
+    """A computed map breaks an identity the theory asserts.
+
+    Raised explicitly, so ``python -O`` does not strip the check; verify
+    suites count it as a failing instance.
+    """
 
 
 def add_term(vec: dict, key, coef: CycNum) -> None:

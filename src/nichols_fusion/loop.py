@@ -10,6 +10,9 @@ so evaluation and coevaluation stay inside the implemented sectors:
     <V^a_s, V^b_t>  = (-1)^s q^{-s^2+s(a-1)}  if s+t = p-1 and a+b = 2p-2 (mod 4p)
     coev(X^a)       = sum_s V^a_s (x) (-1)^{a+s} q^{(s+1)(s-a-2)} V^{2p-a-2}_{p-1-s}
 
+Every sign (-1)^k here and in the dual action and coaction is q^{pk}, as
+q^p = -1, so each of these scalars is computed as one power of q.
+
 coev is the TensorVec {(V^a_s, U^{-a}_s): c} read off the dual identification,
 and ev pairs a TensorVec {(dual side, module side): c}; the loop weights, the
 first-form oracle and the duality suite all go through these two.
@@ -34,9 +37,12 @@ independent oracle.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .cyclo import CycField, CycNum, cyclotomic_field
 from . import ydspace as yds
 from . import nichols
+from . import fusionring as fr
 from .classify import ModuleDescriptor
 
 
@@ -50,8 +56,7 @@ def ev_one_vertex(K: CycField, u: yds.BasisVector, v: yds.BasisVector) -> CycNum
     (b,), (t,) = v
     if s + t != K.p - 1 or (a + b - (2 * K.p - 2)) % (4 * K.p) != 0:
         return K.zero
-    coef = K.q_pow(-s * s + s * (a - 1))
-    return -coef if s % 2 else coef
+    return K.q_pow(-s * s + s * (a - 1) + K.p * s)
 
 
 def ev(K: CycField, x: dict) -> CycNum:
@@ -61,9 +66,7 @@ def ev(K: CycField, x: dict) -> CycNum:
 
 def dual_identification_one_vertex(K: CycField, a: int, s: int):
     """U^a_s as (scalar, V-basis vector)."""
-    coef = K.q_pow((s + 1) * (s + a - 2))
-    if (a + s) % 2:
-        coef = -coef
+    coef = K.q_pow((s + 1) * (s + a - 2) + K.p * (a + s))
     return coef, yds.one_vertex(a - 2 + 2 * K.p, K.p - 1 - s)
 
 
@@ -77,24 +80,18 @@ def coev_one_vertex(K: CycField, a: int) -> dict:
 def dual_act_U(K: CycField, a: int, r: int, s: int) -> CycNum:
     """Coefficient of U^a_{s-r} in F(r) U^a_s (the induced action on the dual):
     q^{r(r-1) - ra - 2rs} (-1)^r times the one-vertex coefficient c1(-a, s-r, r)."""
-    coef = K.q_pow(r * (r - 1) - r * a - 2 * r * s) * yds._c1(K, -a, s - r, r)
-    return -coef if r % 2 else coef
+    return K.q_pow(r * (r - 1) - r * a - 2 * r * s + K.p * r) * yds._c1(K, -a, s - r, r)
 
 
 def dual_coact_U(K: CycField, a: int, s: int):
     """delta U^a_s = sum_r (coef) F(r) (x) U^a_{s+r}, as a list of (r, coef)."""
-    out = []
-    for r in range(K.p - s):
-        coef = K.q_pow(-r * a - 2 * s * r - r * (r - 1))
-        out.append((r, -coef if r % 2 else coef))
-    return out
+    p = K.p
+    return [(r, K.q_pow(-r * a - 2 * s * r - r * (r - 1) + p * r)) for r in range(p - s)]
 
 
 def dual_identification_two_vertex(K: CycField, a: int, b: int, s: int, t: int):
     """U^{a,b}_{s,t} as (scalar, V-basis vector)."""
-    coef = K.q_pow((t + s + 2) * (2 * a + b + t + s - 3))
-    if (t + s) % 2:
-        coef = -coef
+    coef = K.q_pow((t + s + 2) * (2 * a + b + t + s - 3) + K.p * (s + t))
     return coef, yds.two_vertex(a - 2, b - 2, K.p - 1 - s, K.p - 1 - t)
 
 
@@ -103,12 +100,11 @@ def dual_act_U2(K: CycField, a: int, b: int, s: int, t: int, r: int):
 
     u runs only where both cross counts s-r+u and t-u are >= 0.
     """
-    pre = K.q_pow(r * (r - 1) - r * (b + 2 * s + 2 * t))
-    out = []
-    for u in range(max(r - s, 0), min(r, t) + 1):
-        coef = pre * yds._c2(K, -a, -b, s - r + u, t - u, r, u)
-        out.append((u, -coef if r % 2 else coef))
-    return out
+    pre = K.q_pow(r * (r - 1) - r * (b + 2 * s + 2 * t) + K.p * r)
+    return [
+        (u, pre * yds._c2(K, -a, -b, s - r + u, t - u, r, u))
+        for u in range(max(r - s, 0), min(r, t) + 1)
+    ]
 
 
 def dual_descriptor(p: int, desc: ModuleDescriptor) -> ModuleDescriptor:
@@ -300,13 +296,20 @@ def verify_multiplicativity(p: int, w, z, y) -> bool:
     w, z, y are (r, nu) pairs; the right side expands W (x) Z through the
     abstract ring (nu mod 2, matching the mod-2 dependence of lambda).
     """
-    from .fusionring import ring_multiply, x_gen
-
     K = cyclotomic_field(p)
     (rw, nuw), (rz, nuz), (ry, nuy) = w, z, y
     lhs = lambda_closed(K, ry, nuy, rw, nuw) * lambda_closed(K, ry, nuy, rz, nuz)
     rhs = K.zero
-    prod = ring_multiply(p, x_gen(p, rw, nuw), x_gen(p, rz, nuz))
+    prod = fr.ring_multiply(p, fr.x_gen(p, rw, nuw), fr.x_gen(p, rz, nuz))
     for (s, nu), mult in prod.items():
         rhs = rhs + K.from_int(mult) * lambda_closed(K, ry, nuy, s, nu)
     return lhs == rhs
+
+
+def verify_against_lambda(p: int):
+    """Every simple Y defines a character X(r)_nu -> lambda(Y; r, nu) of the
+    fusion ring (multiplicative on the diagonalizable quotient): one
+    (label, ok) per (Y, g1, g2), each verify_multiplicativity's identity
+    lambda(Y; g1) lambda(Y; g2) = sum m lambda(Y; s)."""
+    for y, g1, g2 in product(sorted(fr.basis(p)), fr.basis(p), fr.basis(p)):
+        yield (*y, *g1, *g2), verify_multiplicativity(p, g1, g2, y)

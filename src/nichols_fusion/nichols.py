@@ -5,7 +5,7 @@ element F = F(1), with F(r) = F^r / [r]! and F^p = 0.  The closed forms are
 
     F(r) F(s)   = [r+s over r] F(r+s)          (vanishes for r+s >= p)
     Delta F(r)  = sum_{s=0}^{r} F(s) (x) F(r-s)
-    A(F(r))     = (-1)^r q^{r(r-1)} F(r)
+    A(F(r))     = (-1)^r q^{r(r-1)} F(r) = q^{r(r-1) + pr} F(r)   (q^p = -1)
 
 with the self-braiding Psi(F(r) (x) F(s)) = q^{2rs} F(s) (x) F(r).
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cyclo import CycField, CycNum
-from .linalg import linear_extend
+from .linalg import VerificationError, linear_extend
 
 
 def f_elt(K: CycField, r: int) -> dict:
@@ -46,12 +46,8 @@ def coproduct(K: CycField, x: dict) -> dict:
 
 
 def antipode_coeff(K: CycField, r: int) -> CycNum:
-    return K.q_pow(r * (r - 1)) if r % 2 == 0 else -K.q_pow(r * (r - 1))
-
-
-def antipode_inv_coeff(K: CycField, r: int) -> CycNum:
-    # A(F(r)) is a nonzero scalar times F(r), so A^{-1} just inverts the scalar
-    return K.q_pow(-r * (r - 1)) if r % 2 == 0 else -K.q_pow(-r * (r - 1))
+    """(-1)^r q^{r(r-1)} = q^{r(r-1) + pr}."""
+    return K.q_pow(r * (r - 1) + K.p * r)
 
 
 def antipode(K: CycField, x: dict) -> dict:
@@ -108,7 +104,5 @@ def half_twist_oracle(K: CycField, r: int) -> CycNum:
             word[i - 1], word[i] = word[i], word[i - 1]
             scalar = scalar * K.q_pow(2)
     if word != list(reversed(range(r))):
-        from .ydspace import VerificationError  # ydspace imports this module
-
         raise VerificationError(f"the half-twist word on {r} letters is not the reversal")
     return scalar if r % 2 == 0 else -scalar

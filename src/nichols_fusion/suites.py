@@ -471,7 +471,7 @@ def suite_ring(p: int):
     for key, instances in fr.verify_ring(p).items():
         _check(out, f"ring.{key}", instances)
     _check(out, "ring.matches_module_fusion", fr.verify_against_fusion(p))
-    _check(out, "ring.lambda_characters", fr.verify_against_lambda(p))
+    _check(out, "ring.lambda_characters", lp.verify_against_lambda(p))
     return out
 
 

@@ -20,8 +20,8 @@ Charges are stored as plain integers.  Reduction mod p (module-comodule data),
 mod 2p (action signs) and mod 4p (braiding) happens at the point of use.
 
 Sparse containers (the vocabulary add_term, linear_extend, scale, vec_sub and
-vec_eq lives in linalg and is re-exported here; every module map is a basis
-map passed to linear_extend):
+vec_eq lives in linalg and is re-exported here, as is VerificationError;
+every module map is a basis map passed to linear_extend):
   YDVec     = dict[BasisVector, CycNum]
   TensorVec = dict[(BasisVector, BasisVector), CycNum]   for Y (x) Z
   elements of B_p (x) M are dict[(int, BasisVector), CycNum]
@@ -32,16 +32,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclo import CycField, CycNum
-from .linalg import add_term, linear_extend, scale, vec_sub, vec_eq
+from .linalg import VerificationError, add_term, linear_extend, scale, vec_sub, vec_eq
 from . import nichols
-
-
-class VerificationError(AssertionError):
-    """A computed map breaks an identity the theory asserts.
-
-    Raised explicitly, so ``python -O`` does not strip the check; verify
-    suites count it as a failing instance.
-    """
 
 
 class BasisVector(NamedTuple):
@@ -292,17 +284,21 @@ def braid_B_inv(K: CycField, x: dict) -> dict:
 
     B^{-1}(z (x) y) = psi(z, y)^{-1} sum_g psi(F(g), y_g) y_g (x) (A^{-1}(F(g)) |> z)
 
-    with delta y = F(g) (x) y_g, and psi(z, y)^{-1} psi(F(g), y_g) the one
-    power zeta^{2g ch(y_g) - ch(z) ch(y)}.  That this undoes B is a
-    Gaussian-binomial identity (the alternating q-Pascal sum telescopes to
-    zero in every degree above 0); it is asserted exhaustively in the tests.
+    with delta y = F(g) (x) y_g.  The three factors of a term, psi(z, y)^{-1},
+    psi(F(g), y_g) and the inverse antipode coefficient (-1)^g q^{-g(g-1)},
+    are zeta^{-ch(z) ch(y)} zeta^{2g ch(y_g)} zeta^{2g(p - g + 1)} (q^p = -1):
+    one power of zeta, which multiplies the coefficient of F(g) |> z.  That
+    this undoes B is a Gaussian-binomial identity (the alternating q-Pascal
+    sum telescopes to zero in every degree above 0); it is asserted
+    exhaustively in the tests.
     """
+    p = K.p
 
     def image(key):
         bz, by = key
         chzy = bz.charge * by.charge
         return {  # one y_g per g, so no two terms share a key
-            (wy, bw): K.zeta_pow(2 * g * wy.charge - chzy) * nichols.antipode_inv_coeff(K, g) * d
+            (wy, bw): K.zeta_pow(2 * g * (wy.charge + p - g + 1) - chzy) * d
             for g, wy in coact_basis(by)
             for bw, d in act_Fr_basis(K, g, bz).items()
         }

@@ -207,7 +207,7 @@ def test_criterion_11_ring():
     for p in range(2, 6):
         assert all(ok for _, ok in fr.verify_against_fusion(p))
     for p in range(2, 5):
-        assert all(ok for _, ok in fr.verify_against_lambda(p))
+        assert all(ok for _, ok in lp.verify_against_lambda(p))
 
 
 @criterion(12, "CLI determinism: verify --p 3 --suite all twice, byte-identical")

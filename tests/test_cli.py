@@ -379,6 +379,9 @@ MUTANTS = [
     ("fusion", "fuse_closed", _nu_shifted),
     ("fusion", "top_extension_vector", _top_corner),
     ("nichols", "antipode_coeff", _negated),
+    ("loop", "ev_one_vertex", _negated),
+    ("loop", "dual_act_U", _negated),
+    ("ydspace", "braid_B_inv", _negated_vector),
 ]
 
 
@@ -407,3 +410,124 @@ def test_decompose_defect_is_an_error_payload(monkeypatch):
     code, out = run_cli(["decompose", "--p", "3", "--format", "pretty"])
     assert code == 2
     assert out.splitlines()[1].startswith("FAIL ")
+
+
+def _cache_entries(cache):
+    return sorted(cache.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "[]",
+        json.dumps({"schema": cli.SCHEMA_VERSION}),
+        json.dumps({"schema": cli.SCHEMA_VERSION, "command": "loop", "p": 2, "nu_mod": 2,
+                    "ok": True, "table": []}),
+    ],
+    ids=["non-dict", "schema-only", "other-command"],
+)
+def test_bad_cache_entry_is_rebuilt(tmp_path, entry):
+    args = ["fusion", "--p", "2", "--nu-mod", "4"]
+    want = run_cli(args)
+    assert run_cli(args, cache=tmp_path) == want
+    (path,) = _cache_entries(tmp_path)
+    for fmt in ("json", "pretty"):
+        path.write_text(entry)
+        assert run_cli(args + ["--format", fmt], cache=tmp_path) == run_cli(
+            args + ["--format", fmt]
+        )
+        stored = json.loads(path.read_text())
+        assert (stored["schema"], stored["command"], stored["p"]) == (
+            cli.SCHEMA_VERSION, "fusion", 2,
+        )
+    assert _cache_entries(tmp_path) == [path]
+
+
+def test_out_in_a_missing_directory_is_refused_before_computing(tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("computed before the --out check")
+
+    monkeypatch.setattr(cli, "_payload_verify", unreachable)
+    target = tmp_path / "missing" / "report.json"
+    code, out = run_cli(["verify", "--p", "5", "--out", str(target)])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err == f"nichols-fusion: error: --out: {target.parent} is not a directory\n"
+    assert not target.parent.exists()
+
+
+def test_out_that_cannot_be_written_is_one_error_line(tmp_path):
+    argv = ["classify", "--p", "3", "--a", "0", "--b", "0", "--t", "0", "--no-cache"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nichols_fusion.cli", *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == run_cli(argv[:-1])[1]  # the report still reaches stdout
+    assert proc.stderr.startswith("nichols-fusion: error: --out: cannot write ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["fusion", "--p", "2", "--nu-mod", "4"], "X(2)_0 x X(2)_0 = P(1)_0"),
+        (["classify", "--p", "5", "--a", "0", "--b", "0", "--t", "2"], "(a=0, b=0, t=2) -> L(2)_1"),
+        (["classify", "--p", "5"], "(a=1, b=4, t=0) -> L(1)_-1"),
+        (["loop", "--p", "2"], "lambda(Y=X(1)_0; Z=X(1)_1) = -1+0j  mu=0+0j"),
+        (["loop", "--p", "2"], "lambda(Y=X(2)_0; Z=X(1)_0) = 1+0j"),
+    ],
+    ids=["fusion", "classify-cell", "classify-table", "loop", "loop-steinberg"],
+)
+def test_pretty_tables(args, line):
+    code, out = run_cli(args + ["--format", "pretty"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"# {args[0]} p={args[2]} ({cli.SCHEMA_VERSION})"
+    assert line in lines
+
+
+def test_csv_quotes_nested_cells_and_leaves_missing_ones_empty():
+    import csv
+
+    code, out = run_cli(["loop", "--p", "2", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    table = json.loads(run_cli(["loop", "--p", "2"])[1])["table"]
+    assert len(rows) == len(table)
+    for row, want in zip(rows, table):
+        assert json.loads(row["lambda"]) == want["lambda"]
+        # no mu at r' = p: that cell is empty
+        assert row["mu"] == ("" if want["rp"] == 2 else json.dumps(want["mu"], sort_keys=True))
+    assert '"{""approx"": [""1"", ""0""], ""den"": 1, ""zeta_coeffs"": [1, 0, 0, 0]}"' in out
+
+
+def test_cache_directory_choice(tmp_path, monkeypatch):
+    argv = ["fusion", "--p", "2"]
+    want = run_cli(argv)
+    env_dir, flag_dir, home = tmp_path / "env", tmp_path / "flag", tmp_path / "home"
+    monkeypatch.setenv("NICHOLS_FUSION_CACHE_DIR", str(env_dir))
+    monkeypatch.setenv("HOME", str(home))
+
+    def cached_run(extra):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv + extra)
+        return code, buf.getvalue()
+
+    assert cached_run([]) == want
+    assert len(_cache_entries(env_dir)) == 1
+    assert cached_run(["--cache-dir", str(flag_dir)]) == want  # the flag wins
+    assert len(_cache_entries(flag_dir)) == 1 and len(_cache_entries(env_dir)) == 1
+    monkeypatch.delenv("NICHOLS_FUSION_CACHE_DIR")
+    assert cached_run([]) == want
+    assert len(_cache_entries(home / ".cache" / "nichols-fusion")) == 1
+
+
+def test_unwritable_cache_directory_is_ignored(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    argv = ["verify", "--p", "2", "--suite", "ring"]
+    assert run_cli(argv, cache=blocker) == run_cli(argv)
+    assert blocker.read_text() == ""

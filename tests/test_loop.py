@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nichols_fusion.cyclo import cyclotomic_field
@@ -121,7 +123,8 @@ def test_one_vertex_scalars_equal_their_product_loops(p):
 
 
 def _dual_act_U2_filtered(K, a, b, s, t, r):
-    # reference: every u in [0, r] computed, the out-of-range cross counts dropped after
+    # reference: every u in [0, r] computed, the out-of-range cross counts dropped
+    # after, and the sign (-1)^r as a parity branch
     out = []
     for u in range(r + 1):
         coef = K.q_pow(r * (r - 1) - r * (b + 2 * s + 2 * t)) * yds._c2(
@@ -131,6 +134,84 @@ def _dual_act_U2_filtered(K, a, b, s, t, r):
             continue
         out.append((u, -coef if r % 2 else coef))
     return out
+
+
+def _ev_one_vertex_parity(K, u, v):
+    # reference: <V^a_s, V^b_t> with the sign (-1)^s as a parity branch
+    (a,), (s,) = u
+    (b,), (t,) = v
+    if s + t != K.p - 1 or (a + b - (2 * K.p - 2)) % (4 * K.p) != 0:
+        return K.zero
+    coef = K.q_pow(-s * s + s * (a - 1))
+    return -coef if s % 2 else coef
+
+
+def _dual_identification_one_vertex_parity(K, a, s):
+    # reference: the scalar of U^a_s with the sign (-1)^{a+s} as a parity branch
+    coef = K.q_pow((s + 1) * (s + a - 2))
+    return -coef if (a + s) % 2 else coef
+
+
+def _dual_act_U_parity(K, a, r, s):
+    # reference: the dual action coefficient with the sign (-1)^r as a parity branch
+    coef = K.q_pow(r * (r - 1) - r * a - 2 * r * s) * yds._c1(K, -a, s - r, r)
+    return -coef if r % 2 else coef
+
+
+def _dual_coact_U_parity(K, a, s):
+    # reference: the dual coaction with the sign (-1)^r as a parity branch
+    out = []
+    for r in range(K.p - s):
+        coef = K.q_pow(-r * a - 2 * s * r - r * (r - 1))
+        out.append((r, -coef if r % 2 else coef))
+    return out
+
+
+def _dual_identification_two_vertex_parity(K, a, b, s, t):
+    # reference: the scalar of U^{a,b}_{s,t} with the sign (-1)^{s+t} as a parity branch
+    coef = K.q_pow((t + s + 2) * (2 * a + b + t + s - 3))
+    return -coef if (t + s) % 2 else coef
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_signed_scalars_equal_their_parity_forms(p):
+    # (-1)^k = q^{pk}: each duality scalar folds its sign into one power of q
+    K = cyclotomic_field(p)
+    charges, crosses = range(-2 * p, 3 * p), range(p)
+    for a in charges:
+        for s in crosses:
+            coef, _ = lp.dual_identification_one_vertex(K, a, s)
+            assert coef == _dual_identification_one_vertex_parity(K, a, s)
+            assert lp.dual_coact_U(K, a, s) == _dual_coact_U_parity(K, a, s)
+            for r in crosses:
+                assert lp.dual_act_U(K, a, r, s) == _dual_act_U_parity(K, a, r, s)
+        for b in charges:
+            for s, t in product(crosses, repeat=2):
+                u, v = one_vertex(a, s), one_vertex(b, t)
+                assert lp.ev_one_vertex(K, u, v) == _ev_one_vertex_parity(K, u, v)
+                coef, _ = lp.dual_identification_two_vertex(K, a, b, s, t)
+                assert coef == _dual_identification_two_vertex_parity(K, a, b, s, t)
+                for r in crosses:
+                    got = lp.dual_act_U2(K, a, b, s, t, r)
+                    assert got == _dual_act_U2_filtered(K, a, b, s, t, r)
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_signed_powers_of_q_are_interned(p):
+    # a signed power of q is one entry of the field's zeta table, which is
+    # interned; a negated table entry would be a fresh value without an id
+    K = cyclotomic_field(p)
+    scalars = [ni.antipode_coeff(K, r) for r in range(p)]
+    for a, s in product(range(-2 * p, 3 * p), range(p)):
+        scalars.append(lp.dual_identification_one_vertex(K, a, s)[0])
+        scalars += [c for _, c in lp.dual_coact_U(K, a, s)]
+        # the one dual-side vector that pairs with V^a_s
+        u = one_vertex(2 * p - 2 - a, p - 1 - s)
+        scalars.append(lp.ev_one_vertex(K, u, one_vertex(a, s)))
+        for b, t in product(range(2 * p), range(p)):
+            scalars.append(lp.dual_identification_two_vertex(K, a, b, s, t)[0])
+    assert all(not c.is_zero() for c in scalars)
+    assert all(c.uid >= 0 for c in scalars)
 
 
 def test_dual_act_U2_computes_only_the_terms_it_keeps(monkeypatch):

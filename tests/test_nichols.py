@@ -99,3 +99,25 @@ def test_half_twist_oracle(p):
     assert ni.half_twist_oracle(K, 1) == -K.one
     for r in range(p):
         assert ni.half_twist_oracle(K, r) == ni.antipode_coeff(K, r)
+
+
+def _antipode_coeff_parity(K, r):
+    # reference: (-1)^r q^{r(r-1)} with the sign as a parity branch
+    return K.q_pow(r * (r - 1)) if r % 2 == 0 else -K.q_pow(r * (r - 1))
+
+
+def _antipode_inv_coeff_parity(K, r):
+    # reference: A(F(r)) is a nonzero scalar times F(r), so A^{-1} inverts the scalar
+    return K.q_pow(-r * (r - 1)) if r % 2 == 0 else -K.q_pow(-r * (r - 1))
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_antipode_signs_are_powers_of_q(p):
+    # (-1)^r = q^{pr}: the folded coefficients equal their parity-branch forms;
+    # the inverse is the factor zeta^{2r(p - r + 1)} that braid_B_inv folds in
+    K = cyclotomic_field(p)
+    for r in range(p):
+        assert ni.antipode_coeff(K, r) == _antipode_coeff_parity(K, r)
+        inv = _antipode_inv_coeff_parity(K, r)
+        assert inv == K.zeta_pow(2 * r * (p - r + 1))
+        assert inv * ni.antipode_coeff(K, r) == K.one
