@@ -155,17 +155,15 @@ def top_extension_vector(K: CycField, a: int, b: int, t: int, r: int) -> dict:
 
 
 def extend_to_P(K: CycField, desc: ModuleDescriptor):
-    """Extend an L[r] to the 2p-dimensional P[r]; P[p] is X(p) itself.
+    """Extend an L[r] to the 2p-dimensional P[r]: (basis, P descriptor).
 
     The top vector is normalized as u(1) = q^{a+b-2t} * (the explicit upper
     floor vector); any nonzero constant gives an isomorphic module, and this
     choice is the one under which the closed form for the nilpotent loop
     coefficient mu holds on the nose.
     """
-    if desc.kind == "S" or (desc.kind == "X" and desc.r == K.p):
-        return ModuleDescriptor("X", K.p, desc.nu, desc.labels)
     if desc.kind != "L":
-        raise ValueError(f"extend_to_P needs an L (or the Steinberg), got {desc}")
+        raise ValueError(f"extend_to_P needs an L, got {desc}")
     p = K.p
     a, t, b = desc.labels
     r = desc.r

@@ -10,8 +10,8 @@ Commands
 
 Exit codes: 0 success, 1 usage error, 2 verification failure.
 Output is deterministic (sorted keys, fixed float formatting); results are
-cached as JSON keyed by (command, p, options, sha256 of the package sources,
-schema version) under --cache-dir, NICHOLS_FUSION_CACHE_DIR, or
+cached as JSON, one file per request (command, p, options) and sha256 of the
+package sources, under --cache-dir, NICHOLS_FUSION_CACHE_DIR, or
 ~/.cache/nichols-fusion.
 """
 
@@ -34,6 +34,9 @@ from .ydspace import VerificationError
 
 SCHEMA_VERSION = "nichols-fusion/1"
 DEFAULT_MAX_P = 12
+# the common options that shape how a report is delivered, not what it holds;
+# every other option is part of the request
+_DELIVERY = ("max_p", "format", "out", "cache_dir", "no_cache")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,23 +68,20 @@ def _payload_fusion(p: int, nu_mod: int) -> dict:
         else:
             row["error"] = str(res)
         table.append(row)
-    return {"schema": SCHEMA_VERSION, "command": "fusion", "p": p, "nu_mod": nu_mod,
-            "ok": not any("error" in row for row in table), "table": table}
+    return {"ok": not any("error" in row for row in table), "table": table}
 
 
 def _payload_decompose(p: int, vertices: int) -> dict:
-    head = {"schema": SCHEMA_VERSION, "command": "decompose", "p": p, "vertices": vertices}
     try:
         counts, dim = cl.decompose_space(p, vertices)
         checks = cl.decompose_checks(p)
     except VerificationError as exc:
-        return {**head, "ok": False, "error": str(exc)}
+        return {"ok": False, "error": str(exc)}
     summands = [
         {"kind": kind, "r": r, "mult": mult}
         for (kind, r), mult in sorted(counts.items())
     ]
     return {
-        **head,
         "summands": summands,
         "dimension": dim,
         "ok": bool(checks["one_vertex_ok"] and checks["two_vertex_ok"]),
@@ -93,17 +93,14 @@ def _desc_json(d: cl.ModuleDescriptor) -> dict:
 
 
 def _payload_classify(p: int, a, b, t) -> dict:
-    if a is not None and b is not None and t is not None:
-        cell = _desc_json(cl.classify_coinvariant(p, a, b, t))
-        return {"schema": SCHEMA_VERSION, "command": "classify", "p": p,
-                "a": a, "b": b, "t": t, "ok": True, **cell}
+    if a is not None:  # main has checked that a, b and t come together
+        return {"ok": True, **_desc_json(cl.classify_coinvariant(p, a, b, t))}
     grid = cl.classification_grid(p)
     table = [
         {"a": a0, "b": b0, "t": t0, **_desc_json(d)}
         for (a0, b0, t0), d in sorted(grid.items())
     ]
-    return {"schema": SCHEMA_VERSION, "command": "classify", "p": p, "ok": True,
-            "table": table}
+    return {"ok": True, "table": table}
 
 
 def _payload_loop(p: int, nu_mod: int) -> dict:
@@ -123,8 +120,7 @@ def _payload_loop(p: int, nu_mod: int) -> dict:
                     if rp <= p - 1:
                         row["mu"] = scalar_json(lp.mu_closed(K, rp, nup, r, nu))
                     rows.append(row)
-    return {"schema": SCHEMA_VERSION, "command": "loop", "p": p, "nu_mod": nu_mod,
-            "ok": True, "table": rows}
+    return {"ok": True, "table": rows}
 
 
 def _payload_verify(p: int, suite: str) -> dict:
@@ -133,14 +129,7 @@ def _payload_verify(p: int, suite: str) -> dict:
         {"name": c.name, "ok": c.ok, "count": c.count, "detail": c.detail}
         for c in results
     ]
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "p": p,
-        "suite": suite,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
+    return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -254,21 +243,29 @@ def _write_atomic(path: Path, text: str):
         tmp.unlink(missing_ok=True)
 
 
-def _cached(args, key: str, build):
-    """The payload stored under key, if it is one for this command and p;
-    otherwise build() it and store it over whatever the entry held."""
+def _cached(args, request: dict, build):
+    """The payload for request: build(p, **options) headed by the request's
+    set fields, or the cache entry stored for the request.
+
+    The entry's file name comes from the request's set fields.  The entry is
+    used only if it is a JSON object that holds every field of the request
+    (its schema, command, p and options), an unset (None) option by not
+    having it; any other entry is rebuilt and stored over whatever it held.
+    """
+    head = {k: v for k, v in request.items() if v is not None}
+    params = {k: v for k, v in request.items() if k not in ("schema", "command")}
     if args.no_cache:
-        return build()
+        return {**head, **build(**params)}
     cdir = _cache_dir(args)
-    path = cdir / f"{key}-{_source_digest()}.json"
+    name = "-".join(f"{k}{v}" for k, v in head.items() if k in params)
+    path = cdir / f"{request['command']}-{name}-{_source_digest()}.json"
     try:
         stored = json.loads(path.read_text())
     except (ValueError, OSError):
         stored = None
-    want = {"schema": SCHEMA_VERSION, "command": args.command, "p": args.p}
-    if isinstance(stored, dict) and all(stored.get(k) == v for k, v in want.items()):
+    if isinstance(stored, dict) and all(stored.get(k) == v for k, v in request.items()):
         return stored
-    payload = build()
+    payload = {**head, **build(**params)}
     try:
         cdir.mkdir(parents=True, exist_ok=True)
         _write_atomic(path, json.dumps(payload, sort_keys=True))
@@ -323,33 +320,24 @@ def main(argv=None) -> int:
         parser.error("p must be at least 2")
     if args.p > args.max_p:
         parser.error(f"p={args.p} exceeds the cap {args.max_p} (raise with --max-p)")
+    if args.out == "":
+        parser.error("--out: the path is empty")
     if args.out and not Path(args.out).parent.is_dir():
         parser.error(f"--out: {Path(args.out).parent} is not a directory")
-
-    if args.command == "fusion":
-        key = f"fusion-p{args.p}-nu{args.nu_mod}"
-        payload = _cached(args, key, lambda: _payload_fusion(args.p, args.nu_mod))
-    elif args.command == "decompose":
-        key = f"decompose-p{args.p}-v{args.vertices}"
-        payload = _cached(args, key, lambda: _payload_decompose(args.p, args.vertices))
-    elif args.command == "classify":
+    if args.command == "classify":
         given = [x is not None for x in (args.a, args.b, args.t)]
         if any(given) and not all(given):
             parser.error("--a, --b, --t must be given together")
         if args.t is not None and not 0 <= args.t <= args.p - 1:
             parser.error("t must lie in [0, p-1]")
-        if args.a is None:
-            key = f"classify-p{args.p}-table"
-            payload = _cached(args, key, lambda: _payload_classify(args.p, None, None, None))
-        else:
-            key = f"classify-p{args.p}-a{args.a}-b{args.b}-t{args.t}"
-            payload = _cached(args, key, lambda: _payload_classify(args.p, args.a, args.b, args.t))
-    elif args.command == "loop":
-        key = f"loop-p{args.p}-nu{args.nu_mod}"
-        payload = _cached(args, key, lambda: _payload_loop(args.p, args.nu_mod))
-    else:  # verify; the subparsers are required, so no other command arrives
-        key = f"verify-p{args.p}-{args.suite}"
-        payload = _cached(args, key, lambda: _payload_verify(args.p, args.suite))
+
+    request = {"schema": SCHEMA_VERSION,
+               **{k: v for k, v in vars(args).items() if k not in _DELIVERY}}
+    # looked up at call time, so a rebound _payload_<command> is the one run
+    build = {"fusion": _payload_fusion, "decompose": _payload_decompose,
+             "classify": _payload_classify, "loop": _payload_loop,
+             "verify": _payload_verify}[args.command]
+    payload = _cached(args, request, build)
 
     fmt = args.format or ("pretty" if args.command == "verify" else "json")
     text = _render(payload, fmt)

@@ -129,11 +129,17 @@ def test_extend_to_P():
     ld = cl.classify_coinvariant(5, 0, 0, 2)
     basis, d = cl.extend_to_P(K, ld)
     assert d.kind == "P" and d.r == 2 and d.nu == 1 and len(basis) == 10
-    # P[p] is the Steinberg itself
-    sp = cl.extend_to_P(K, cl.classify_coinvariant(5, 0, 4, 0))
-    assert sp.kind == "X" and sp.r == 5
+    with pytest.raises(ValueError):
+        cl.extend_to_P(K, cl.classify_coinvariant(5, 0, 4, 0))  # the Steinberg
     with pytest.raises(ValueError):
         cl.extend_to_P(K, cl.classify_coinvariant(5, 0, 0, 0))  # an X(1)
+
+
+def test_p_module_basis_of_an_s_cell_is_refused():
+    K = cyclotomic_field(3)
+    assert cl.classify_coinvariant(3, 0, 0, 2).kind == "S"
+    with pytest.raises(ValueError, match="needs an L"):
+        cl.p_module_basis(K, 0, 2, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])

@@ -443,6 +443,31 @@ def test_bad_cache_entry_is_rebuilt(tmp_path, entry):
     assert _cache_entries(tmp_path) == [path]
 
 
+@pytest.mark.parametrize(
+    "args, other",
+    [
+        (["fusion", "--p", "2", "--nu-mod", "4"], ["fusion", "--p", "2", "--nu-mod", "2"]),
+        (["verify", "--p", "2", "--suite", "hopf"], ["verify", "--p", "2", "--suite", "braiding"]),
+        (["classify", "--p", "3"], ["classify", "--p", "3", "--a", "0", "--b", "0", "--t", "0"]),
+    ],
+    ids=["fusion-nu-mod", "verify-suite", "classify-cell-for-table"],
+)
+def test_cache_entry_for_other_options_is_rebuilt(tmp_path, args, other):
+    # an entry for the same command and p but other options is not this request's
+    want = run_cli(args)
+    assert run_cli(args, cache=tmp_path) == want
+    (path,) = _cache_entries(tmp_path)
+    entry = json.dumps(json.loads(run_cli(other + ["--format", "json"])[1]), sort_keys=True)
+    fresh = json.loads(run_cli(args + ["--format", "json"])[1])
+    for fmt in ("json", "pretty"):
+        path.write_text(entry)
+        assert run_cli(args + ["--format", fmt], cache=tmp_path) == run_cli(
+            args + ["--format", fmt]
+        )
+        assert json.loads(path.read_text()) == fresh
+    assert _cache_entries(tmp_path) == [path]
+
+
 def test_out_in_a_missing_directory_is_refused_before_computing(tmp_path, monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("computed before the --out check")
@@ -454,6 +479,16 @@ def test_out_in_a_missing_directory_is_refused_before_computing(tmp_path, monkey
     err = capsys.readouterr().err
     assert err == f"nichols-fusion: error: --out: {target.parent} is not a directory\n"
     assert not target.parent.exists()
+
+
+def test_empty_out_is_refused_before_computing(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before the --out check")
+
+    monkeypatch.setattr(cli, "_payload_classify", unreachable)
+    code, out = run_cli(["classify", "--p", "3", "--a", "0", "--b", "0", "--t", "0", "--out", ""])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "nichols-fusion: error: --out: the path is empty\n"
 
 
 def test_out_that_cannot_be_written_is_one_error_line(tmp_path):
@@ -531,3 +566,10 @@ def test_unwritable_cache_directory_is_ignored(tmp_path):
     argv = ["verify", "--p", "2", "--suite", "ring"]
     assert run_cli(argv, cache=blocker) == run_cli(argv)
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_verify_equals_the_recorded_json(p):
+    # the recorded outputs that CI diffs a fresh run against
+    want = (Path(__file__).parent / "data" / f"verify_p{p}_all.json").read_text()
+    assert run_cli(["verify", "--p", str(p), "--suite", "all", "--format", "json"]) == (0, want)
