@@ -37,6 +37,11 @@ DEFAULT_MAX_P = 12
 # the common options that shape how a report is delivered, not what it holds;
 # every other option is part of the request
 _DELIVERY = ("max_p", "format", "out", "cache_dir", "no_cache")
+# the keys of each command's body besides "ok", one set per form (a failed
+# decompose holds only its error; classify gives one cell or the table)
+_BODY = {"fusion": [{"table"}], "loop": [{"table"}], "verify": [{"checks"}],
+         "decompose": [{"summands", "dimension"}, {"error"}],
+         "classify": [{"kind", "r", "nu", "nu_raw"}, {"table"}]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,15 +207,6 @@ def _scalar_txt(s: dict) -> str:
     return f"{s['approx'][0]}{'+' if not s['approx'][1].startswith('-') else ''}{s['approx'][1]}j"
 
 
-def _cache_dir(args) -> Path | None:
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    env = os.environ.get("NICHOLS_FUSION_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "nichols-fusion"
-
-
 def _sha256():
     # CPython's own sha256 module, as its random module does: hashlib loads
     # OpenSSL, about 3.7 MiB more peak RSS for every cached run.  The name is
@@ -250,20 +246,24 @@ def _cached(args, request: dict, build):
     The entry's file name comes from the request's set fields.  The entry is
     used only if it is a JSON object that holds every field of the request
     (its schema, command, p and options), an unset (None) option by not
-    having it; any other entry is rebuilt and stored over whatever it held.
+    having it, a boolean "ok" and its command's body (_BODY); any other entry
+    is rebuilt and stored over whatever it held.
     """
     head = {k: v for k, v in request.items() if v is not None}
     params = {k: v for k, v in request.items() if k not in ("schema", "command")}
     if args.no_cache:
         return {**head, **build(**params)}
-    cdir = _cache_dir(args)
+    cdir = Path(args.cache_dir or os.environ.get("NICHOLS_FUSION_CACHE_DIR")
+                or Path.home() / ".cache" / "nichols-fusion")
     name = "-".join(f"{k}{v}" for k, v in head.items() if k in params)
     path = cdir / f"{request['command']}-{name}-{_source_digest()}.json"
     try:
         stored = json.loads(path.read_text())
     except (ValueError, OSError):
         stored = None
-    if isinstance(stored, dict) and all(stored.get(k) == v for k, v in request.items()):
+    if (isinstance(stored, dict) and all(stored.get(k) == v for k, v in request.items())
+            and isinstance(stored.get("ok"), bool)
+            and any(keys <= stored.keys() for keys in _BODY[request["command"]])):
         return stored
     payload = {**head, **build(**params)}
     try:
@@ -322,6 +322,8 @@ def main(argv=None) -> int:
         parser.error(f"p={args.p} exceeds the cap {args.max_p} (raise with --max-p)")
     if args.out == "":
         parser.error("--out: the path is empty")
+    if args.cache_dir == "":
+        parser.error("--cache-dir: the path is empty")
     if args.out and not Path(args.out).parent.is_dir():
         parser.error(f"--out: {Path(args.out).parent} is not a directory")
     if args.command == "classify":
@@ -347,7 +349,7 @@ def main(argv=None) -> int:
             Path(args.out).write_text(text)
         except OSError as exc:
             parser.error(f"--out: cannot write {args.out}: {exc.strerror or exc}")
-    return 0 if payload.get("ok", True) else 2
+    return 0 if payload["ok"] else 2
 
 
 if __name__ == "__main__":

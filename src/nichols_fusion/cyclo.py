@@ -245,8 +245,9 @@ class CycField:
                       tuples built here ([r + p] = [r], and [r]! = 0 for r >= p);
       _qbinom         the q-binomials, filled by q_binom;
       _xi_pow         the powers of xi = 1 - q^2, filled by xi_pow;
-      _c2             the action coefficients, filled by ydspace._c2 (the
-                      one-vertex ydspace._c1 is its b = t = u = 0 slice);
+      _c2             the one-vertex action coefficients, keyed by (a mod p,
+                      s, r), filled by ydspace._c1 (ydspace._c2 multiplies two
+                      of them; the name stays, as bench/trace_child.py reads it);
       _act            the one-vertex images F(r) |> V^a_s for r >= 1, keyed by
                       (r, basis vector), filled by ydspace.act_Fr_basis;
                       two-vertex images are not cached;

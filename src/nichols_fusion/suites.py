@@ -315,7 +315,7 @@ def suite_duality(p: int):
                 lhs = yds._c2(K, a, b, s, t, r, u)
                 s2, t2 = p - 1 - s - r + u, p - 1 - t - u
                 # a negative cross count makes a q-binomial of _c2 zero
-                # (tests/test_ydspace.py checks it), so it is not memoized
+                # (tests/test_ydspace.py checks it), so a known zero is not computed
                 if s2 < 0 or t2 < 0:
                     rhs = K.zero
                 else:

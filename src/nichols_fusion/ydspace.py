@@ -10,11 +10,12 @@ counts as charge -2 per cross).
 
 Closed forms implemented here, with xi = 1 - q^2 and [n] the q-integers:
 
-  one vertex    F(r) |> V^a_s = [r+s over r] xi^r prod_{i=s}^{s+r-1} [i-a] V^a_{s+r}
+  one vertex    F(r) |> V^a_s = c1(a, s, r) V^a_{s+r}
+                c1(a, s, r) = [r+s over r] xi^r prod_{i=s}^{s+r-1} [i-a]
 
   two vertices  F(r) |> V^{a,b}_{s,t} = sum_u c^{a,b}_{s,t}(r,u) V^{a,b}_{s+r-u, t+u}
-                c^{a,b}_{s,t}(r,u) = xi^r q^{u(2s-a)} [s+r-u over r-u] [t+u over u]
-                                     prod_{i=u}^{r-1} [s+i+2t-a-b] prod_{j=0}^{u-1} [t+j-b]
+                c^{a,b}_{s,t}(r,u) = q^{u(2s-a)} c1(a+b-2t-u, s, r-u) c1(b, t, u),
+                as F(r) acts through Delta F(r) = sum_u F(r-u) (x) F(u)
 
 Charges are stored as plain integers.  Reduction mod p (module-comodule data),
 mod 2p (action signs) and mod 4p (braiding) happens at the point of use.
@@ -73,33 +74,28 @@ def _put(K, out, bv, coef):
         add_term(out, bv, coef)
 
 
-def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
-    """Two-vertex action coefficient c^{a,b}_{s,t}(r,u); memoized on the field.
+def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
+    """Coefficient of F(r) |> V^a_s (the one-vertex closed form); memoized on
+    the field in K._c2, the one memo of the action coefficients.
 
-    Depends on a mod 2p and on b mod p, which keys the cache.
+    a enters only through the q-integers [i-a], and [n] depends only on n mod p
+    (q^{2p} = 1), so the memo is keyed by (a mod p, s, r).
     """
-    key = (a % (2 * K.p), b % K.p, s, t, r, u)
+    key = (a % K.p, s, r)
     v = K._c2.get(key)
     if v is None:
-        v = K.xi_pow(r) * K.q_pow(u * (2 * s - a))
-        v = v * K.q_binom(s + r - u, r - u) * K.q_binom(t + u, u)
-        for i in range(u, r):
-            v = v * K.q_int(s + i + 2 * t - a - b)
-        for j in range(u):
-            v = v * K.q_int(t + j - b)
+        v = K.xi_pow(r) * K.q_binom(r + s, r)
+        for i in range(s, s + r):
+            v = v * K.q_int(i - a)
         K._c2[key] = v
     return v
 
 
-def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
-    """Coefficient of F(r) |> V^a_s (the one-vertex closed form): the
-    b = t = u = 0 slice c^{a,0}_{s,0}(r,0) of _c2, read from its memo.
-
-    At u = 0 the factor q^{u(2s-a)} is 1, so a enters only through the
-    q-integers [s+i-a], and [n] depends only on n mod p (q^{2p} = 1); passing
-    a mod p keeps the slice at one entry per (a mod p, s, r).
-    """
-    return _c2(K, a % K.p, 0, s, 0, r, 0)
+def _c2(K: CycField, a: int, b: int, s: int, t: int, r: int, u: int) -> CycNum:
+    """Two-vertex action coefficient c^{a,b}_{s,t}(r,u), 0 <= u <= r, from two _c1
+    factors; c1(b, t, u) comes first, as it is zero whenever t+u >= p and a
+    product with zero skips the product memo."""
+    return _c1(K, b, t, u) * K.q_pow(u * (2 * s - a)) * _c1(K, a + b - 2 * t - u, s, r - u)
 
 
 def act_F_basis(K: CycField, bv: BasisVector) -> dict:

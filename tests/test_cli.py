@@ -423,8 +423,9 @@ def _cache_entries(cache):
         json.dumps({"schema": cli.SCHEMA_VERSION}),
         json.dumps({"schema": cli.SCHEMA_VERSION, "command": "loop", "p": 2, "nu_mod": 2,
                     "ok": True, "table": []}),
+        json.dumps({"schema": cli.SCHEMA_VERSION, "command": "fusion", "p": 2, "nu_mod": 4}),
     ],
-    ids=["non-dict", "schema-only", "other-command"],
+    ids=["non-dict", "schema-only", "other-command", "head-without-body"],
 )
 def test_bad_cache_entry_is_rebuilt(tmp_path, entry):
     args = ["fusion", "--p", "2", "--nu-mod", "4"]
@@ -489,6 +490,16 @@ def test_empty_out_is_refused_before_computing(monkeypatch, capsys):
     code, out = run_cli(["classify", "--p", "3", "--a", "0", "--b", "0", "--t", "0", "--out", ""])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "nichols-fusion: error: --out: the path is empty\n"
+
+
+def test_empty_cache_dir_is_refused_before_computing(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before the --cache-dir check")
+
+    monkeypatch.setattr(cli, "_payload_classify", unreachable)
+    code, out = run_cli(["classify", "--p", "3", "--a", "0", "--b", "0", "--t", "0"], cache="")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "nichols-fusion: error: --cache-dir: the path is empty\n"
 
 
 def test_out_that_cannot_be_written_is_one_error_line(tmp_path):

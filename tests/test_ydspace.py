@@ -64,7 +64,8 @@ def test_charge_shift_sign_law(p):
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_c2_is_zero_at_a_negative_cross_count(p):
     # the duality suite's c_symmetry takes K.zero for its right side at these
-    # keys instead of calling _c2: check every key it skips
+    # keys instead of calling _c2, so a known zero is not computed: check every
+    # key it skips
     K = CycField(p)  # a private field, so the zeros stay out of the shared memo
     skipped = 0
     pairs = itertools.product(range(2 * p), range(2 * p), range(p), range(p))
@@ -75,6 +76,45 @@ def test_c2_is_zero_at_a_negative_cross_count(p):
                 skipped += 1
                 assert _c2(K, -a - 2, -b - 2, s2, t2, r, u).is_zero(), (a, b, s, t, r, u)
     assert skipped
+
+
+def _c2_direct(K, a, b, s, t, r, u):
+    """c^{a,b}_{s,t}(r,u) as its own six-index product, without _c1 or a memo."""
+    coef = K.xi() ** r * K.q_pow(u * (2 * s - a))
+    coef = coef * K.q_binom(s + r - u, r - u) * K.q_binom(t + u, u)
+    for i in range(u, r):
+        coef = coef * K.q_int(s + i + 2 * t - a - b)
+    for j in range(u):
+        coef = coef * K.q_int(t + j - b)
+    return coef
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_c2_equals_the_six_index_product(p):
+    # _c2 is q^{u(2s-a)} c1(a+b-2t-u, s, r-u) c1(b, t, u); the reference is the
+    # product formula it replaced, over charges beyond one period and over the
+    # negative cross counts that the duality suite's c_symmetry skips
+    K = CycField(p)
+    charges = itertools.product(range(-2 * p, 4 * p), range(-p, 2 * p))
+    for (a, b), s, t, r in itertools.product(charges, range(p), range(p), range(p)):
+        for u in range(r + 1):
+            assert _c2(K, a, b, s, t, r, u) == _c2_direct(K, a, b, s, t, r, u), (a, b, s, t, r, u)
+    for a, b, s, t, r in itertools.product(range(2 * p), range(2 * p), range(p), range(p), range(p)):
+        for u in range(r + 1):
+            s2, t2 = p - 1 - s - r + u, p - 1 - t - u
+            if s2 < 0 or t2 < 0:
+                args = (-a - 2, -b - 2, s2, t2, r, u)
+                assert _c2(K, *args) == _c2_direct(K, *args), args
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_c2_memo_holds_at_most_p_cubed_entries(p):
+    # _c2 stores nothing of its own; its c1 factors are keyed by (a mod p, s, r)
+    K = CycField(p)  # a private field, so the count is this range's alone
+    for a, b, s, t, r in itertools.product(range(2 * p), range(p), range(p), range(p), range(p)):
+        for u in range(r + 1):
+            yds._c2(K, a, b, s, t, r, u)
+    assert len(K._c2) <= p ** 3
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -99,8 +139,8 @@ def _c1_direct(K, a, s, r):
 
 @pytest.mark.parametrize("p", range(2, 8))
 def test_c1_memo_equals_direct_product(p):
-    # _c1 reads the _c2 memo with a mod p; every a in [-2p, 4p) must still get
-    # its own value, and the slice holds one entry per (a mod p, s, r)
+    # _c1 keys its memo (K._c2) by a mod p; every a in [-2p, 4p) must still get
+    # its own value, and the memo holds one entry per (a mod p, s, r)
     K = CycField(p)  # a private field, so the first pass starts from an empty memo
     keys = [(a, s, r) for a in range(-2 * p, 4 * p) for s in range(p) for r in range(p)]
     for _ in ("cold", "warm"):
