@@ -79,7 +79,6 @@ def _payload_fusion(p: int, nu_mod: int) -> dict:
 def _payload_decompose(p: int, vertices: int) -> dict:
     try:
         counts, dim = cl.decompose_space(p, vertices)
-        checks = cl.decompose_checks(p)
     except VerificationError as exc:
         return {"ok": False, "error": str(exc)}
     summands = [
@@ -89,7 +88,7 @@ def _payload_decompose(p: int, vertices: int) -> dict:
     return {
         "summands": summands,
         "dimension": dim,
-        "ok": bool(checks["one_vertex_ok"] and checks["two_vertex_ok"]),
+        "ok": cl.decomposition_ok(p, vertices, counts, dim),
     }
 
 

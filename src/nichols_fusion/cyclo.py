@@ -244,7 +244,6 @@ class CycField:
       _qint, _qfact   the q-integers [r] and q-factorials [r]!, r < p, as
                       tuples built here ([r + p] = [r], and [r]! = 0 for r >= p);
       _qbinom         the q-binomials, filled by q_binom;
-      _xi_pow         the powers of xi = 1 - q^2, filled by xi_pow;
       _c2             the one-vertex action coefficients, keyed by (a mod p,
                       s, r), filled by ydspace._c1 (ydspace._c2 multiplies two
                       of them; the name stays, as bench/trace_child.py reads it);
@@ -308,8 +307,8 @@ class CycField:
         for r in range(1, p):
             qfact.append(qfact[-1] * qint[r])
         self._qfact = tuple(qfact)
+        self._xi = self.one - self.q_pow(2)
         self._qbinom = {}
-        self._xi_pow = {0: self.one, 1: self.one - self.q_pow(2)}
         self._c2 = {}
         self._act = {}
         self._loop_T = {}
@@ -409,17 +408,7 @@ class CycField:
 
     def xi(self) -> CycNum:
         """xi = 1 - q^2, the normalization of the adjoint action of F."""
-        return self.xi_pow(1)
-
-    def xi_pow(self, r: int) -> CycNum:
-        """xi^r for r >= 0."""
-        v = self._xi_pow.get(r)
-        if v is None:
-            if r < 0:
-                raise ValueError("xi_pow needs r >= 0")
-            v = self.xi_pow(r - 1) * self._xi_pow[1]
-            self._xi_pow[r] = v
-        return v
+        return self._xi
 
     def __repr__(self):
         return f"CycField(p={self.p})"

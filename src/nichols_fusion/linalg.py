@@ -3,14 +3,13 @@
 Every linear object in the package is a sparse dict {key: CycNum} holding only
 nonzero coefficients: elements of B_p, YDVec and TensorVec in ydspace, and the
 rows of an Echelon.  The vocabulary for them lives here, at the bottom of the
-import graph: add_term, linear_extend, scale(vec, coef), vec_sub and vec_eq.
+import graph: add_term, linear_extend, scale(vec, coef) and vec_sub.
 ydspace re-exports it.  VerificationError lives here too, so every module
 can raise it without importing upward.
 
-vec_eq(a, b) is exactly ``not vec_sub(a, b)``, decided in place without a
-difference dict: every key of a is in b (an explicit zero in a that b lacks
-counts as a difference, as vec_sub keeps it), and at each key of b, a holds an
-equal value or b's value is zero and a has none.
+add_term is the one place that drops a zero, and every map builds its result
+through it (or scales by a nonzero coefficient), so no vector stores a zero
+and two vectors are equal exactly when they are equal dicts: ``a == b``.
 
 Echelon pivots are chosen at the smallest key of each row, which keeps
 elimination cheap for the triangular families produced by the fusion map.
@@ -58,20 +57,6 @@ def vec_sub(vec: dict, other: dict) -> dict:
     for k, c in other.items():
         add_term(out, k, -c)
     return out
-
-
-def vec_eq(a: dict, b: dict) -> bool:
-    """not vec_sub(a, b), with no difference dict and no negation."""
-    if any(k not in b for k in a):
-        return False
-    for k, c in b.items():
-        ca = a.get(k)
-        if ca is None:
-            if not c.is_zero():
-                return False
-        elif ca is not c and ca != c:
-            return False
-    return True
 
 
 class Echelon:

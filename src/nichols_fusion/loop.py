@@ -262,10 +262,7 @@ def _chi_is(K: CycField, b: int, lam: CycNum, terms) -> bool:
     for every (w, N(w)) in terms.  A VerificationError from chi_apply fails
     the instance instead of ending the check."""
     try:
-        return all(
-            yds.vec_eq(yds.vec_sub(chi_apply(K, w, b), yds.scale(w, lam)), nw)
-            for w, nw in terms
-        )
+        return all(yds.vec_sub(chi_apply(K, w, b), yds.scale(w, lam)) == nw for w, nw in terms)
     except yds.VerificationError:
         return False
 

@@ -123,7 +123,7 @@ def suite_hopf(p: int):
         for r in range(p):
             cp = ni.coproduct(K, basis[r])
             lhs, rhs = yds.linear_extend(delta_left, cp), yds.linear_extend(delta_right, cp)
-            yield r, yds.vec_eq(lhs, rhs) and yds.linear_extend(counit_left, cp) == {r: K.one}
+            yield r, lhs == rhs and yds.linear_extend(counit_left, cp) == {r: K.one}
 
     _check(out, "hopf.coassociativity", coassoc())
 
@@ -133,7 +133,7 @@ def suite_hopf(p: int):
         good = True
         for r in range(1, p):
             power = ni.product(K, power, fp)
-            good = good and yds.vec_eq(power, {r: K.q_fact(r)})
+            good = good and power == {r: K.q_fact(r)}
         power = ni.product(K, power, fp)
         yield "F^p=0", good and power == {}
 
@@ -191,7 +191,7 @@ def suite_yd(p: int):
             for r in range(p):
                 it = yds.act_F(K, it) if r else it
                 want = yds.scale(yds.act_Fr_basis(K, r, bv), K.q_fact(r))
-                yield (a, b, s, t, r), yds.vec_eq(want, it)
+                yield (a, b, s, t, r), want == it
 
     _check(out, "yd.closed_form_action", closed_vs_iterated())
     return out
@@ -204,8 +204,8 @@ def suite_braiding(p: int):
     def inverses():
         for a, b, s, t in _one_vertex_pairs(p, 2 * p):
             x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-            ok = yds.vec_eq(yds.braid_B_inv(K, yds.braid_B(K, x)), x)
-            ok = ok and yds.vec_eq(yds.braid_B(K, yds.braid_B_inv(K, x)), x)
+            ok = yds.braid_B_inv(K, yds.braid_B(K, x)) == x
+            ok = ok and yds.braid_B(K, yds.braid_B_inv(K, x)) == x
             yield (a, b, s, t), ok
 
     _check(out, "braiding.B_inverse", inverses())
@@ -213,15 +213,14 @@ def suite_braiding(p: int):
     def b2_onepass():
         for a, b, s, t in _one_vertex_pairs(p, p):
             x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-            yield (a, b, s, t), yds.vec_eq(yds.braid_B2(K, x), yds.braid_B2_onepass(K, x))
+            yield (a, b, s, t), yds.braid_B2(K, x) == yds.braid_B2_onepass(K, x)
 
     _check(out, "braiding.B2_composite", b2_onepass())
 
     def b2_closed():
         for a, b, s, t in _one_vertex_pairs(p, 2 * p):
-            yield (a, b, s, t), yds.vec_eq(
-                fu.fused_monodromy(K, a, b, s, t),
-                fu.monodromy_closed_form(K, a, b, s, t),
+            yield (a, b, s, t), (
+                fu.fused_monodromy(K, a, b, s, t) == fu.monodromy_closed_form(K, a, b, s, t)
             )
 
     _check(out, "braiding.monodromy_closed_form", b2_closed())
@@ -246,14 +245,14 @@ def suite_ribbon(p: int):
                 y, z = yds.one_vertex(a, s), yds.one_vertex(b, t)
                 lhs = fu.fusion_map(K, yds.braid_B2(K, {(y, z): th}))
                 rhs = yds.ribbon(K, fu.fusion_map_basis(K, y, z))
-                yield (a, b, s, t), yds.vec_eq(lhs, rhs)
+                yield (a, b, s, t), lhs == rhs
 
     _check(out, "ribbon.axiom_through_fusion", axiom())
 
     def commutes():
         for a, b, s, t in _two_vertex_basis(p):
             v = {yds.two_vertex(a, b, s, t): K.one}
-            ok = yds.vec_eq(yds.ribbon(K, yds.act_F(K, v)), yds.act_F(K, yds.ribbon(K, v)))
+            ok = yds.ribbon(K, yds.act_F(K, v)) == yds.act_F(K, yds.ribbon(K, v))
             yield (a, b, s, t), ok and yds.commutes_with_coaction(K, lambda w: yds.ribbon(K, w), v)
 
     _check(out, "ribbon.commutes_with_structure", commutes())
@@ -335,7 +334,7 @@ def suite_duality(p: int):
                     cj, bvj = lp.dual_identification_two_vertex(K, a, b, s - r + u, t - u)
                     yds.add_term(lhs, bvj, coef * cj)
                 rhs = yds.scale(yds.act_Fr_basis(K, r, bvi), ci)
-                yield (a, b, s, t, r), yds.vec_eq(lhs, rhs)
+                yield (a, b, s, t, r), lhs == rhs
 
     _check(out, "duality.dual_basis_two_vertex", identification_2v())
 
@@ -392,7 +391,7 @@ def suite_fusion(p: int):
             x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
             fused = fu.fusion_map_basis(K, yds.one_vertex(a, s), yds.one_vertex(b, t))
             ok = all(
-                yds.vec_eq(fu.fusion_map(K, yds.tensor_act_Fr(K, r, x)), yds.act_Fr(K, r, fused))
+                fu.fusion_map(K, yds.tensor_act_Fr(K, r, x)) == yds.act_Fr(K, r, fused)
                 for r in range(p)
             )
             yield (a, b, s, t), ok and yds.commutes_with_coaction(
@@ -441,9 +440,7 @@ def suite_loop(p: int):
     def first_form():
         y = {yds.one_vertex(p - 1, 0): K.one}
         for b in (0, 1):
-            yield b, yds.vec_eq(
-                lp.chi_apply(K, y, b), lp.chi_apply_first_form(K, y, b)
-            )
+            yield b, lp.chi_apply(K, y, b) == lp.chi_apply_first_form(K, y, b)
 
     _check(out, "loop.first_form_crosscheck", first_form())
 

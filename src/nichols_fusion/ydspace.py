@@ -20,12 +20,16 @@ Closed forms implemented here, with xi = 1 - q^2 and [n] the q-integers:
 Charges are stored as plain integers.  Reduction mod p (module-comodule data),
 mod 2p (action signs) and mod 4p (braiding) happens at the point of use.
 
-Sparse containers (the vocabulary add_term, linear_extend, scale, vec_sub and
-vec_eq lives in linalg and is re-exported here, as is VerificationError;
-every module map is a basis map passed to linear_extend):
+Sparse containers (the vocabulary add_term, linear_extend, scale and vec_sub
+lives in linalg and is re-exported here, as is VerificationError; every
+module map is a basis map passed to linear_extend):
   YDVec     = dict[BasisVector, CycNum]
   TensorVec = dict[(BasisVector, BasisVector), CycNum]   for Y (x) Z
   elements of B_p (x) M are dict[(int, BasisVector), CycNum]
+  the coaction of v is dict[degree, YDVec or TensorVec], {r: v_r} for
+  delta v = sum_r F(r) (x) v_r, holding no empty component
+No container stores a zero coefficient (add_term drops one), so == is their
+equality.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclo import CycField, CycNum
-from .linalg import VerificationError, add_term, linear_extend, scale, vec_sub, vec_eq
+from .linalg import VerificationError, add_term, linear_extend, scale, vec_sub
 from . import nichols
 
 
@@ -60,7 +64,7 @@ def two_vertex(a: int, b: int, s: int, t: int) -> BasisVector:
 
 
 def _put(K, out, bv, coef):
-    """Insert a term, dropping out-of-range cross counts.
+    """Insert a term by add_term, dropping out-of-range cross counts.
 
     The closed forms only ever emit s_i >= p together with a vanishing
     q-binomial; a nonzero coefficient there is a transcription defect and
@@ -70,8 +74,7 @@ def _put(K, out, bv, coef):
         if not coef.is_zero():
             raise VerificationError(f"nonzero coefficient on out-of-range {bv}")
         return
-    if not coef.is_zero():
-        add_term(out, bv, coef)
+    add_term(out, bv, coef)
 
 
 def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
@@ -84,7 +87,7 @@ def _c1(K: CycField, a: int, s: int, r: int) -> CycNum:
     key = (a % K.p, s, r)
     v = K._c2.get(key)
     if v is None:
-        v = K.xi_pow(r) * K.q_binom(r + s, r)
+        v = K.xi() ** r * K.q_binom(r + s, r)
         for i in range(s, s + r):
             v = v * K.q_int(i - a)
         K._c2[key] = v
@@ -173,13 +176,13 @@ def coact_basis(bv: BasisVector) -> list[tuple[int, BasisVector]]:
     ]
 
 
-def coact(K: CycField, v: dict) -> list[tuple[int, dict]]:
-    """delta(v) = sum_r F(r) (x) component_r, as a list of (r, YDVec)."""
+def coact(K: CycField, v: dict) -> dict:
+    """delta(v) = sum_r F(r) (x) v_r, as {r: v_r}."""
     comps = {}
     for bv, c in v.items():
         for r, bw in coact_basis(bv):
             add_term(comps.setdefault(r, {}), bw, c)
-    return sorted((r, comp) for r, comp in comps.items() if comp)
+    return {r: comp for r, comp in comps.items() if comp}
 
 
 def is_coinvariant(v: dict) -> bool:
@@ -223,7 +226,7 @@ def tensor_act_Fr(K: CycField, n: int, x: dict) -> dict:
     return linear_extend(image, x)
 
 
-def tensor_coact(K: CycField, x: dict) -> list[tuple[int, dict]]:
+def tensor_coact(K: CycField, x: dict) -> dict:
     """delta(y (x) z) = sum (y_{-1} z_{-1}) (x) (y_0 (x) z_0), braiding z's leg
     past y_0; F(g) F(k) = [g+k over g] F(g+k)."""
     comps = {}
@@ -234,9 +237,8 @@ def tensor_coact(K: CycField, x: dict) -> list[tuple[int, dict]]:
                 if g + k >= K.p:
                     continue  # [g+k over g] = 0 there
                 coef = c * K.q_pow(-k * chy) * K.q_binom(g + k, g)
-                if not coef.is_zero():
-                    add_term(comps.setdefault(g + k, {}), (wy, wz), coef)
-    return sorted((r, comp) for r, comp in comps.items() if comp)
+                add_term(comps.setdefault(g + k, {}), (wy, wz), coef)
+    return {r: comp for r, comp in comps.items() if comp}
 
 
 def _is_tensor(v: dict) -> bool:
@@ -250,10 +252,9 @@ def commutes_with_coaction(K: CycField, f, x: dict) -> bool:
     The coaction on the source of f is read off x: tensor_coact for a
     TensorVec, coact otherwise.  Empty components are dropped on both sides.
     """
-    lhs = dict(coact(K, f(x)))
     coact_fn = tensor_coact if _is_tensor(x) else coact
-    rhs = {r: fc for r, comp in coact_fn(K, x) if (fc := f(comp))}
-    return lhs.keys() == rhs.keys() and all(vec_eq(lhs[r], rhs[r]) for r in lhs)
+    rhs = {r: fc for r, comp in coact_fn(K, x).items() if (fc := f(comp))}
+    return coact(K, f(x)) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +407,12 @@ def yd_axiom_checks(K: CycField, v: dict):
     left, right = [], []  # indexed by n
     for r in range(K.p):
         left.append(coact_fn(K, act_fn(K, r, v)))
-        right.append([(g, act_fn(K, r, comp)) for g, comp in comps])
+        right.append({g: act_fn(K, r, comp) for g, comp in comps.items()})
         lhs, rhs = {}, {}
         for n in range(r + 1):
             m = r - n
             for side, images in ((lhs, left[n]), (rhs, right[n])):
-                for g, comp in images:
+                for g, comp in images.items():
                     if g + m >= K.p:
                         continue  # [g+m over g] = 0 there
                     qb = K.q_binom(g + m, g)
@@ -422,4 +423,4 @@ def yd_axiom_checks(K: CycField, v: dict):
                             ch = key[0].charge + key[1].charge if tensor else key.charge
                             e = -2 * m * (ch + n - g)
                         add_term(side, (g + m, key), c * K.q_pow(e) * qb)
-        yield r, vec_eq(lhs, rhs)
+        yield r, lhs == rhs

@@ -109,7 +109,7 @@ def extend_to_V(K, desc):
         raise yds.VerificationError(f"{desc} extends to dimension {len(basis) + len(upper)}")
     # coaction closure: every coaction component of the extension stays inside
     for v in upper:
-        if not all(ech.contains(comp) for _, comp in yds.coact(K, v)):
+        if not all(ech.contains(comp) for comp in yds.coact(K, v).values()):
             raise yds.VerificationError(f"the coaction leaves the extension of {desc}")
     return basis + upper, cl.ModuleDescriptor("V", desc.r, desc.nu, desc.labels)
 

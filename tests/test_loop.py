@@ -251,7 +251,7 @@ def test_sigma2_intertwining(p):
                 sc = K.q_pow(-2 * n * (a - 2 * s))  # both crossings of F(n) past z
                 a2 = ni.antipode_coeff(K, n) ** 2
                 rhs = yds.scale(yds.act_Fr(K, n, sigma2(K, z)), sc * a2)
-                assert yds.vec_eq(lhs, rhs)
+                assert lhs == rhs
 
 
 def test_lambda_unit_and_sign_free_cases():
@@ -347,7 +347,7 @@ def _assert_commutes(K, y_basis, b):
         return lp.chi_apply(K, v, b)
 
     for w in y_basis:
-        assert yds.vec_eq(chi(yds.act_F(K, w)), yds.act_F(K, chi(w))), (w, b)
+        assert chi(yds.act_F(K, w)) == yds.act_F(K, chi(w)), (w, b)
         assert yds.commutes_with_coaction(K, chi, w), (w, b)
 
 
@@ -405,7 +405,7 @@ def test_first_form_matches_second(p):
     for y in ys:
         for b in range(-3 * p, p + 1):
             img = lp.chi_apply(K, y, b)
-            assert yds.vec_eq(img, lp.chi_apply_first_form(K, y, b)), (y, b)
+            assert img == lp.chi_apply_first_form(K, y, b), (y, b)
             nonzero += bool(img)
     assert nonzero > len(ys)
 
