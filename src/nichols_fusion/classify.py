@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .cyclo import CycField
 from . import ydspace as yds
 from .ydspace import BasisVector
-from .linalg import Echelon
+from .linalg import Echelon, VerificationError, scale
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,10 @@ def classify_coinvariant(p: int, a: int, b: int, t: int) -> ModuleDescriptor:
     # left wing (t+r <= p-1) of the indecomposable
     if t + r >= p:
         if not (t >= p - r + ap + 1 or p - r <= t <= ap):
-            raise yds.VerificationError(f"({a}, {b}, {t}) meets no B condition")
+            raise VerificationError(f"({a}, {b}, {t}) meets no B condition")
         return ModuleDescriptor("B", r, nu, labels)
     if not (t <= ap - r or ap + 1 <= t <= p - r - 1):
-        raise yds.VerificationError(f"({a}, {b}, {t}) meets no L condition")
+        raise VerificationError(f"({a}, {b}, {t}) meets no L condition")
     return ModuleDescriptor("L", r, nu, labels)
 
 
@@ -120,13 +120,13 @@ def generate_submodule(K: CycField, coinv: BasisVector):
         if len(basis) > 1 and first_new_coinv is None and yds.is_coinvariant(v):
             first_new_coinv = len(basis) - 1
         if len(basis) > 2 * p:
-            raise yds.VerificationError("orbit failed to terminate")
+            raise VerificationError("orbit failed to terminate")
         v = yds.act_F(K, v)
     dim = len(basis)
     if coinv.nvertex == 1:
         a = coinv.charges[0]
         if dim != a % p + 1:
-            raise yds.VerificationError(f"one-vertex orbit of {coinv} has length {dim}")
+            raise VerificationError(f"one-vertex orbit of {coinv} has length {dim}")
         return basis, ModuleDescriptor("S" if dim == p else "X", dim, raw_nu(a, dim, p), (a,))
     a, b = coinv.charges
     t = coinv.crosses[1]
@@ -135,7 +135,7 @@ def generate_submodule(K: CycField, coinv: BasisVector):
     if first_new_coinv is not None:
         kind, r = "L", first_new_coinv
         if dim != p:
-            raise yds.VerificationError(f"L orbit of {coinv} has length {dim}, not {p}")
+            raise VerificationError(f"L orbit of {coinv} has length {dim}, not {p}")
     elif dim == p and (a_eff % p + 1) == p:
         kind, r = "S", p
     else:
@@ -169,30 +169,30 @@ def extend_to_P(K: CycField, desc: ModuleDescriptor):
     r = desc.r
     lower, check = generate_submodule(K, yds.two_vertex(a, b, 0, t))
     if (check.kind, check.r) != ("L", r):
-        raise yds.VerificationError(f"the orbit of {desc} generates {check}")
+        raise VerificationError(f"the orbit of {desc} generates {check}")
     ech = Echelon(K)
     for v in lower:
         ech.add(v)
     upper = []
-    v = yds.scale(top_extension_vector(K, a, b, t, r), K.q_pow(a + b - 2 * t))
+    v = scale(top_extension_vector(K, a, b, t, r), K.q_pow(a + b - 2 * t))
     while v:
         upper.append(v)
         if not ech.add(v):
-            raise yds.VerificationError(f"upper floor vector of {desc} already in the L")
+            raise VerificationError(f"upper floor vector of {desc} already in the L")
         v = yds.act_F(K, v)
     if len(lower) + len(upper) != 2 * p:
-        raise yds.VerificationError(f"{desc} extends to dimension {len(lower) + len(upper)}")
+        raise VerificationError(f"{desc} extends to dimension {len(lower) + len(upper)}")
     # delta u(1) must hit the left wing: its F(1)-component is proportional
     # to v(r) = F^{r-1} |> coinvariant
     comps = yds.coact(K, upper[0])
     vr = lower[r - 1]
     c1 = comps.get(1)
     piv = next(iter(vr))
-    if c1 is None or c1 != yds.scale(vr, c1.get(piv, K.zero) * vr[piv].inv()):
-        raise yds.VerificationError(f"the coaction of u(1) misses the left wing of {desc}")
+    if c1 is None or c1 != scale(vr, c1.get(piv, K.zero) * vr[piv].inv()):
+        raise VerificationError(f"the coaction of u(1) misses the left wing of {desc}")
     for v in upper:
         if not all(ech.contains(comp) for comp in yds.coact(K, v).values()):
-            raise yds.VerificationError(f"the coaction leaves the extension of {desc}")
+            raise VerificationError(f"the coaction leaves the extension of {desc}")
     return lower + upper, ModuleDescriptor("P", r, desc.nu, desc.labels)
 
 
@@ -240,17 +240,17 @@ def decompose_space(p: int, n: int):
                 # the bottom partner B(p-r) must sit at t+r in the same column
                 partner = grid[(a, b, t + d.r)]
                 if (partner.kind, partner.r) != ("B", p - d.r):
-                    raise yds.VerificationError(f"{d} at {(a, b, t)} has partner {partner}")
+                    raise VerificationError(f"{d} at {(a, b, t)} has partner {partner}")
             else:
                 b_count[d.r] = b_count.get(d.r, 0) + 1
         for r in range(1, p):
             if b_count.get(r, 0) != counts.get(("P", p - r), 0):
-                raise yds.VerificationError(f"B[{r}] count differs from the P[{p - r}] count")
+                raise VerificationError(f"B[{r}] count differs from the P[{p - r}] count")
     else:
         raise ValueError("only the 1- and 2-vertex spaces decompose here")
     dim = sum(m * ModuleDescriptor(k, r, 0).dimension(p) for (k, r), m in counts.items())
     if dim != p ** (2 * n):
-        raise yds.VerificationError(f"{('one', 'two')[n - 1]}-vertex summands have dimension {dim}")
+        raise VerificationError(f"{('one', 'two')[n - 1]}-vertex summands have dimension {dim}")
     return counts, dim
 
 

@@ -30,7 +30,7 @@ from . import classify as cl
 from . import loop as lp
 from .fusion import FusionResult, fusion_table
 from .suites import run_suite, SUITES
-from .ydspace import VerificationError
+from .linalg import VerificationError
 
 SCHEMA_VERSION = "nichols-fusion/1"
 DEFAULT_MAX_P = 12
@@ -52,11 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def scalar_json(x) -> dict:
-    nums, den = x.coeffs()
     approx = x.evalf()
     return {
-        "zeta_coeffs": nums,
-        "den": den,
+        "zeta_coeffs": list(x.num),
+        "den": x.den,
         "approx": [f"{approx.real:.12g}", f"{approx.imag:.12g}"],
     }
 

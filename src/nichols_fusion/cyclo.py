@@ -44,7 +44,7 @@ import cmath
 
 
 def _poly_divmod_int(n, d):
-    """Quotient and remainder of integer polynomials; division must be exact stepwise."""
+    """Quotient and remainder (len(d) - 1 terms) of integer polynomials; exact stepwise."""
     n = list(n)
     dd = len(d) - 1
     lead = d[-1]
@@ -57,7 +57,7 @@ def _poly_divmod_int(n, d):
             q[k - dd] = c
             for j in range(dd + 1):
                 n[k - dd + j] -= c * d[j]
-    return q, n[:dd]
+    return q, n[:dd] + [0] * (dd - len(n))
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +222,6 @@ class CycNum:
         z = cmath.exp(1j * cmath.pi / (2 * self.field.p))
         return sum(c * z**i for i, c in enumerate(self.num) if c) / self.den
 
-    def coeffs(self):
-        """Exact coefficients over zeta as (numerators, denominator)."""
-        return list(self.num), self.den
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.num):
@@ -241,6 +237,10 @@ class CycField:
     """Q(zeta_{4p}) together with the memoized q-combinatorics at q = zeta^2.
 
     The memo tables, one per derived quantity:
+      _zeta           the one table of zeta^k, k < 4p, interned and built here
+                      as x^k mod Phi by _poly_divmod_int; read by zeta_pow, q_pow
+                      and CycNum._conjugate, and its rows deg .. 2 deg - 2 are
+                      red_rows, which fold a product's high degrees;
       _qint, _qfact   the q-integers [r] and q-factorials [r]!, r < p, as
                       tuples built here ([r + p] = [r], and [r]! = 0 for r >= p);
       _qbinom         the q-binomials, filled by q_binom;
@@ -274,28 +274,19 @@ class CycField:
         self.order = 4 * p
         self.phi = cyclotomic_poly(self.order)
         self.deg = len(self.phi) - 1
-        # rows for x^(deg+j) mod Phi, j = 0 .. deg-2, as plain int tuples
-        rows = []
-        cur = [-c for c in self.phi[:-1]]  # x^deg mod Phi (Phi is monic)
-        rows.append(tuple(cur))
-        for _ in range(self.deg - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                first = rows[0]
-                for t in range(self.deg):
-                    nxt[t] += top * first[t]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.red_rows = rows
         self.zero = CycNum(self, (0,) * self.deg, 1)
-        self.one = self._basis_monomial(0)
         self._values = {}
         self._ids = count()
         self._mul = {}
         self._intern(self.zero)  # id 0
-        self._intern(self.one)  # id 1
-        self._zeta = self._zeta_table()
+        # zeta^k = x^k mod Phi for k < 4p; zeta^0 = one is interned first, as id 1
+        self._zeta = [
+            self._intern(CycNum(self, tuple(_poly_divmod_int([0] * k + [1], self.phi)[1]), 1))
+            for k in range(self.order)
+        ]
+        self.one = self._zeta[0]
+        # x^(deg+j) mod Phi, j = 0 .. deg-2, fold a product's high degrees (deg <= 2p)
+        self.red_rows = [z.num for z in self._zeta[self.deg : 2 * self.deg - 1]]
         # the units k != 1 mod 4p, one Galois automorphism zeta -> zeta^k each
         self.galois_units = tuple(k for k in range(2, self.order) if gcd(k, self.order) == 1)
         # q^2 is a primitive p-th root of unity, so [r] depends on r mod p only
@@ -351,19 +342,6 @@ class CycField:
             c = self._values.setdefault(key, x)
         x.uid = c.uid
         return c
-
-    def _basis_monomial(self, k):
-        vec = [0] * self.deg
-        vec[k] = 1
-        return CycNum(self, tuple(vec), 1)
-
-    def _zeta_table(self):
-        # canonical forms of zeta^0 .. zeta^{4p-1}
-        table = [self.one]
-        z = self._basis_monomial(1)  # deg = phi(4p) >= 4, so zeta is a basis monomial
-        for _ in range(self.order - 1):
-            table.append(table[-1] * z)
-        return table
 
     def from_int(self, n: int) -> CycNum:
         return self._make([n] + [0] * (self.deg - 1), 1)

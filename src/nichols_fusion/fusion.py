@@ -35,7 +35,7 @@ from itertools import product
 from .cyclo import CycField, cyclotomic_field
 from . import ydspace as yds
 from .classify import ModuleDescriptor, classify_coinvariant, top_extension_vector
-from .linalg import Echelon
+from .linalg import Echelon, VerificationError, linear_extend
 
 
 def fusion_map_basis(K: CycField, bv1: yds.BasisVector, bv2: yds.BasisVector) -> dict:
@@ -53,7 +53,7 @@ def fusion_map_basis(K: CycField, bv1: yds.BasisVector, bv2: yds.BasisVector) ->
 def fusion_map(K: CycField, x: dict) -> dict:
     """Linear extension of the basis fusion map to a TensorVec, landing in the
     (a,b) sector."""
-    return yds.linear_extend(lambda key: fusion_map_basis(K, *key), x)
+    return linear_extend(lambda key: fusion_map_basis(K, *key), x)
 
 
 def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
@@ -133,9 +133,9 @@ def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
     for s in range(r1):
         for t in range(r2):
             if not ech.add(fusion_map_basis(K, yds.one_vertex(a, s), yds.one_vertex(b, t))):
-                raise yds.VerificationError("fusion map failed to be injective")
+                raise VerificationError("fusion map failed to be injective")
     if ech.rank != r1 * r2:
-        raise yds.VerificationError(f"fused image has rank {ech.rank}, not {r1 * r2}")
+        raise VerificationError(f"fused image has rank {ech.rank}, not {r1 * r2}")
 
     found = [
         u
@@ -143,7 +143,7 @@ def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
         if ech.contains({yds.two_vertex(a, b, 0, u): K.one})
     ]
     if found != list(range(min(a % p, b % p) + 1)):
-        raise yds.VerificationError(f"left coinvariants u = {found} in the image at a={a}, b={b}")
+        raise VerificationError(f"left coinvariants u = {found} in the image at a={a}, b={b}")
 
     summands = []
     total = 0
@@ -156,15 +156,15 @@ def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
         elif d.kind == "L":
             # the L extends inside the image: its top vector is present
             if not ech.contains(top_extension_vector(K, a, b, u, d.r)):
-                raise yds.VerificationError(f"L[{d.r}] at u={u} does not extend inside the image")
+                raise VerificationError(f"L[{d.r}] at u={u} does not extend inside the image")
             summands.append(ModuleDescriptor("P", p - d.r, (d.nu + 1) % 4))
             total += 2 * p
             ls.add((u, d.r))
         elif (u - (p - d.r), p - d.r) not in ls:
             # a bottom B(r) is the partner of the L[p-r] found p-r steps up
-            raise yds.VerificationError(f"B[{d.r}] at u={u} has no L partner in {sorted(ls)}")
+            raise VerificationError(f"B[{d.r}] at u={u} has no L partner in {sorted(ls)}")
     if total != r1 * r2:
-        raise yds.VerificationError(f"summands have dimension {total}, not {r1 * r2}")
+        raise VerificationError(f"summands have dimension {total}, not {r1 * r2}")
     return _sorted(summands)
 
 
@@ -173,7 +173,7 @@ def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> FusionResult:
     closed = fuse_closed(p, r1, nu1, r2, nu2)
     brute = fuse_brute(cyclotomic_field(p), r1, nu1, r2, nu2)
     if closed != brute:
-        raise yds.VerificationError(
+        raise VerificationError(
             f"fusion paths disagree at p={p}, "
             f"({r1},{nu1})x({r2},{nu2}): closed={closed}, brute={brute}"
         )
@@ -189,6 +189,6 @@ def fusion_table(p: int, nus) -> dict:
     for key in product(range(1, p + 1), nus, range(1, p + 1), nus):
         try:
             table[key] = fuse_simples(p, *key)
-        except yds.VerificationError as exc:
+        except VerificationError as exc:
             table[key] = exc
     return table

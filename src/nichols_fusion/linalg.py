@@ -4,8 +4,8 @@ Every linear object in the package is a sparse dict {key: CycNum} holding only
 nonzero coefficients: elements of B_p, YDVec and TensorVec in ydspace, and the
 rows of an Echelon.  The vocabulary for them lives here, at the bottom of the
 import graph: add_term, linear_extend, scale(vec, coef) and vec_sub.
-ydspace re-exports it.  VerificationError lives here too, so every module
-can raise it without importing upward.
+VerificationError lives here too, so every module can raise it without
+importing upward.  Every other module imports these names from here.
 
 add_term is the one place that drops a zero, and every map builds its result
 through it (or scales by a nonzero coefficient), so no vector stores a zero

@@ -41,6 +41,7 @@ from itertools import product
 
 from .cyclo import CycField, CycNum, cyclotomic_field
 from . import ydspace as yds
+from .linalg import VerificationError, linear_extend, scale, vec_sub
 from . import nichols
 from . import fusionring as fr
 from .classify import ModuleDescriptor
@@ -192,7 +193,7 @@ def chi_apply(K: CycField, y: dict, b: int) -> dict:
     def image(bv):
         return yds.act_by_coaction(K, bv, lambda g, wy: table[g][wy.charge % period])
 
-    return yds.linear_extend(image, y)
+    return linear_extend(image, y)
 
 
 def chi_apply_first_form(K: CycField, y: dict, b: int) -> dict:
@@ -211,7 +212,7 @@ def chi_apply_first_form(K: CycField, y: dict, b: int) -> dict:
         by, bz, u = key
         return {by: theta * ev(K, yds.braid_B(K, {(bz, u): K.one}))}
 
-    return yds.linear_extend(close, legs)
+    return linear_extend(close, legs)
 
 
 def lambda_closed(K: CycField, rp: int, nup: int, r: int, nu: int) -> CycNum:
@@ -262,8 +263,8 @@ def _chi_is(K: CycField, b: int, lam: CycNum, terms) -> bool:
     for every (w, N(w)) in terms.  A VerificationError from chi_apply fails
     the instance instead of ending the check."""
     try:
-        return all(yds.vec_sub(chi_apply(K, w, b), yds.scale(w, lam)) == nw for w, nw in terms)
-    except yds.VerificationError:
+        return all(vec_sub(chi_apply(K, w, b), scale(w, lam)) == nw for w, nw in terms)
+    except VerificationError:
         return False
 
 
@@ -283,7 +284,7 @@ def verify_chi_on_P(K: CycField, vs, us, pdesc: ModuleDescriptor, r: int, nu: in
     p, rp = K.p, pdesc.r
     lam = lambda_closed(K, rp, pdesc.nu, r, nu)
     mu = mu_closed(K, rp, pdesc.nu, r, nu)
-    nil = [{}] * p + [yds.scale(vs[rp + i], mu) if rp + i < p else {} for i in range(p)]
+    nil = [{}] * p + [scale(vs[rp + i], mu) if rp + i < p else {} for i in range(p)]
     return _chi_is(K, r - 1 - nu * p, lam, zip(vs + us, nil))
 
 

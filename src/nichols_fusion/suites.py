@@ -13,6 +13,7 @@ from itertools import product
 from .cyclo import cyclotomic_field
 from . import nichols as ni
 from . import ydspace as yds
+from .linalg import VerificationError, add_term, linear_extend, scale
 from . import classify as cl
 from . import fusion as fu
 from . import loop as lp
@@ -43,7 +44,7 @@ def _check(results, name, pairs):
                 failing += 1
                 if first is None:
                     first = label
-    except yds.VerificationError as exc:
+    except VerificationError as exc:
         count += 1
         failing += 1
         stop = f"instance {count} raised: {exc}"
@@ -106,7 +107,7 @@ def suite_hopf(p: int):
         for r in range(p):
             cp = ni.coproduct(K, basis[r])
             want = {0: K.one} if r == 0 else {}
-            yield r, yds.linear_extend(left, cp) == want and yds.linear_extend(right, cp) == want
+            yield r, linear_extend(left, cp) == want and linear_extend(right, cp) == want
 
     _check(out, "hopf.antipode", antipode_axiom())
 
@@ -122,8 +123,8 @@ def suite_hopf(p: int):
 
         for r in range(p):
             cp = ni.coproduct(K, basis[r])
-            lhs, rhs = yds.linear_extend(delta_left, cp), yds.linear_extend(delta_right, cp)
-            yield r, lhs == rhs and yds.linear_extend(counit_left, cp) == {r: K.one}
+            lhs, rhs = linear_extend(delta_left, cp), linear_extend(delta_right, cp)
+            yield r, lhs == rhs and linear_extend(counit_left, cp) == {r: K.one}
 
     _check(out, "hopf.coassociativity", coassoc())
 
@@ -190,7 +191,7 @@ def suite_yd(p: int):
             it = {bv: K.one}  # F^r |> bv = [r]! F(r) |> bv, and [r]! != 0 for r < p
             for r in range(p):
                 it = yds.act_F(K, it) if r else it
-                want = yds.scale(yds.act_Fr_basis(K, r, bv), K.q_fact(r))
+                want = scale(yds.act_Fr_basis(K, r, bv), K.q_fact(r))
                 yield (a, b, s, t, r), want == it
 
     _check(out, "yd.closed_form_action", closed_vs_iterated())
@@ -269,11 +270,11 @@ def suite_duality(p: int):
             coev = lp.coev_one_vertex(K, a)
             for t in range(r):
                 v = yds.one_vertex(a, t)  # (id (x) ev)(coev (x) v) = v
-                zig = yds.linear_extend(lambda zu: {zu[0]: lp.ev(K, {(zu[1], v): K.one})}, coev)
+                zig = linear_extend(lambda zu: {zu[0]: lp.ev(K, {(zu[1], v): K.one})}, coev)
                 yield ("zig1", a, t), zig == {v: K.one}
             for s in range(r):
                 _, u = lp.dual_identification_one_vertex(K, -a, s)  # (ev (x) id)(u (x) coev) = u
-                zag = yds.linear_extend(lambda zu: {zu[1]: lp.ev(K, {(u, zu[0]): K.one})}, coev)
+                zag = linear_extend(lambda zu: {zu[1]: lp.ev(K, {(u, zu[0]): K.one})}, coev)
                 yield ("zig2", a, s), zag == {u: K.one}
 
     _check(out, "duality.zigzag", zigzag())
@@ -332,8 +333,8 @@ def suite_duality(p: int):
                 lhs = {}
                 for u, coef in lp.dual_act_U2(K, a, b, s, t, r):
                     cj, bvj = lp.dual_identification_two_vertex(K, a, b, s - r + u, t - u)
-                    yds.add_term(lhs, bvj, coef * cj)
-                rhs = yds.scale(yds.act_Fr_basis(K, r, bvi), ci)
+                    add_term(lhs, bvj, coef * cj)
+                rhs = scale(yds.act_Fr_basis(K, r, bvi), ci)
                 yield (a, b, s, t, r), lhs == rhs
 
     _check(out, "duality.dual_basis_two_vertex", identification_2v())
@@ -488,7 +489,7 @@ def suite_classify(p: int):
         ch = cl.decompose_checks(p)
         ok = ch["one_vertex_ok"] and ch["two_vertex_ok"] and ch["v_total_ok"] and ch["p_total_ok"]
         detail = ""
-    except yds.VerificationError as exc:
+    except VerificationError as exc:
         ok, detail = False, f"raised: {exc}"
     out.append(CheckResult("classify.decomposition_counts", ok, p**3 + p, detail))
     return out

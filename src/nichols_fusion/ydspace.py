@@ -21,8 +21,8 @@ Charges are stored as plain integers.  Reduction mod p (module-comodule data),
 mod 2p (action signs) and mod 4p (braiding) happens at the point of use.
 
 Sparse containers (the vocabulary add_term, linear_extend, scale and vec_sub
-lives in linalg and is re-exported here, as is VerificationError; every
-module map is a basis map passed to linear_extend):
+lives in linalg, as does VerificationError; every module map is a basis map
+passed to linear_extend):
   YDVec     = dict[BasisVector, CycNum]
   TensorVec = dict[(BasisVector, BasisVector), CycNum]   for Y (x) Z
   elements of B_p (x) M are dict[(int, BasisVector), CycNum]
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclo import CycField, CycNum
-from .linalg import VerificationError, add_term, linear_extend, scale, vec_sub
+from .linalg import VerificationError, add_term, linear_extend
 from . import nichols
 
 

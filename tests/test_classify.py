@@ -3,7 +3,7 @@ import pytest
 from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion import classify as cl
 from nichols_fusion import ydspace as yds
-from nichols_fusion.linalg import Echelon
+from nichols_fusion.linalg import Echelon, VerificationError
 from nichols_fusion.ydspace import one_vertex, two_vertex
 
 
@@ -103,14 +103,14 @@ def extend_to_V(K, desc):
     while v:
         upper.append(v)
         if not ech.add(v):
-            raise yds.VerificationError(f"upper floor vector of {desc} already in the submodule")
+            raise VerificationError(f"upper floor vector of {desc} already in the submodule")
         v = yds.act_F(K, v)
     if len(basis) + len(upper) != p:
-        raise yds.VerificationError(f"{desc} extends to dimension {len(basis) + len(upper)}")
+        raise VerificationError(f"{desc} extends to dimension {len(basis) + len(upper)}")
     # coaction closure: every coaction component of the extension stays inside
     for v in upper:
         if not all(ech.contains(comp) for comp in yds.coact(K, v).values()):
-            raise yds.VerificationError(f"the coaction leaves the extension of {desc}")
+            raise VerificationError(f"the coaction leaves the extension of {desc}")
     return basis + upper, cl.ModuleDescriptor("V", desc.r, desc.nu, desc.labels)
 
 

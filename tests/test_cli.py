@@ -256,12 +256,13 @@ def test_yd_images_are_built_as_r_grows(monkeypatch):
     # two-vertex vector, not at r = 0 as an eager build would report it; the
     # FAIL lines must not depend on python -O
     from nichols_fusion import ydspace as yds
+    from nichols_fusion.linalg import VerificationError
 
     act = yds.act_Fr_basis
 
     def broken(K, r, bv):
         if r == 2 and bv.nvertex == 2:
-            raise yds.VerificationError("planted at r = 2")
+            raise VerificationError("planted at r = 2")
         return act(K, r, bv)
 
     detail = "[first failure: instance 3 (1 failing); instance 3 raised: planted at r = 2]"
@@ -274,10 +275,11 @@ def test_yd_images_are_built_as_r_grows(monkeypatch):
     script = (
         "import sys\n"
         "from nichols_fusion import ydspace as yds\n"
+        "from nichols_fusion.linalg import VerificationError\n"
         "act = yds.act_Fr_basis\n"
         "def broken(K, r, bv):\n"
         "    if r == 2 and bv.nvertex == 2:\n"
-        "        raise yds.VerificationError('planted at r = 2')\n"
+        "        raise VerificationError('planted at r = 2')\n"
         "    return act(K, r, bv)\n"
         "yds.act_Fr_basis = broken\n"
         "from nichols_fusion.cli import main\n"

@@ -56,6 +56,22 @@ def test_zeta_pow_is_homomorphism():
                 assert K.zeta_pow(a) * K.zeta_pow(b) == K.zeta_pow(a + b)
 
 
+def test_zeta_table_against_sympy():
+    # an independent reference: sympy's remainder of z^k by Phi_{4p}
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    for p in range(2, 13):
+        K = field(p)
+        phi = sympy.cyclotomic_poly(4 * p, z)
+        for k in range(4 * p):
+            rem = sympy.Poly(sympy.rem(z**k, phi, z), z).all_coeffs()[::-1]
+            want = tuple(int(c) for c in rem) + (0,) * (K.deg - len(rem))
+            assert (K.zeta_pow(k).num, K.zeta_pow(k).den) == (want, 1), (p, k)
+        assert all(K.red_rows[j] == K.zeta_pow(K.deg + j).num for j in range(K.deg - 1))
+        assert len(K.red_rows) == K.deg - 1
+        assert (K.zero.uid, K.one.uid) == (0, 1) and K.zeta_pow(0) is K.one
+
+
 def test_p2_q_is_i():
     K = field(2)
     q = K.q_pow(1)

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from nichols_fusion.cyclo import cyclotomic_field
-from nichols_fusion import ydspace as yds
+from nichols_fusion.linalg import VerificationError, add_term
 from nichols_fusion import fusion as fu
 from nichols_fusion.ydspace import one_vertex, two_vertex
 
@@ -143,7 +143,7 @@ def monodromy_display_full(K, a, b, s, t):
                 key = two_vertex(a, b, s + t - n, n)
                 if any(c >= K.p for c in key.crosses):
                     continue
-                yds.add_term(out, key, coef)
+                add_term(out, key, coef)
     return out
 
 
@@ -181,7 +181,7 @@ def test_fusion_table_error_is_confined_to_its_pair(monkeypatch):
 
     monkeypatch.setattr(fu, "fuse_closed", broken)
     table = fu.fusion_table(p, range(4))
-    assert isinstance(table[bad], yds.VerificationError)
+    assert isinstance(table[bad], VerificationError)
     assert "fusion paths disagree" in str(table[bad])
     assert {k: v for k, v in table.items() if k != bad} == {
         k: v for k, v in clean.items() if k != bad

@@ -4,6 +4,7 @@ import pytest
 
 from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion import ydspace as yds
+from nichols_fusion.linalg import linear_extend, scale
 from nichols_fusion import loop as lp
 from nichols_fusion import classify as cl
 from nichols_fusion import nichols as ni
@@ -17,7 +18,7 @@ def sigma2(K, v):
     def image(bv):
         return yds.act_by_coaction(K, bv, lambda g, _: ni.antipode_coeff(K, g))
 
-    return yds.linear_extend(image, v)
+    return linear_extend(image, v)
 
 
 def lambda_ab(K, a, b):
@@ -250,7 +251,7 @@ def test_sigma2_intertwining(p):
                 lhs = sigma2(K, yds.act_Fr(K, n, z))
                 sc = K.q_pow(-2 * n * (a - 2 * s))  # both crossings of F(n) past z
                 a2 = ni.antipode_coeff(K, n) ** 2
-                rhs = yds.scale(yds.act_Fr(K, n, sigma2(K, z)), sc * a2)
+                rhs = scale(yds.act_Fr(K, n, sigma2(K, z)), sc * a2)
                 assert lhs == rhs
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion import nichols as ni
-from nichols_fusion import ydspace as yds
+from nichols_fusion.linalg import add_term
 
 
 def test_unit_and_product_formula():
@@ -61,9 +61,9 @@ def test_antipode_axiom(p):
         acc_l, acc_r = {}, {}
         for (i, j), c in ni.coproduct(K, ni.f_elt(K, r)).items():
             for d, cc in ni.product(K, ni.antipode(K, {i: c}), {j: K.one}).items():
-                yds.add_term(acc_l, d, cc)
+                add_term(acc_l, d, cc)
             for d, cc in ni.product(K, {i: c}, ni.antipode(K, {j: K.one})).items():
-                yds.add_term(acc_r, d, cc)
+                add_term(acc_r, d, cc)
         want = {0: K.one} if r == 0 else {}
         assert acc_l == want and acc_r == want
 
