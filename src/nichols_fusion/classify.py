@@ -55,6 +55,11 @@ def raw_nu(a_eff: int, r: int, p: int) -> int:
     return (r - 1 - a_eff) // p
 
 
+def simple_charge(p: int, r: int, nu: int) -> int:
+    """The charge a = r - 1 - nu*p realizing X(r)_nu; raw_nu inverts it."""
+    return r - 1 - nu * p
+
+
 def classify_one_vertex(p: int, a: int) -> ModuleDescriptor:
     r = a % p + 1
     nu = raw_nu(a, r, p)
@@ -103,14 +108,15 @@ def _f_image_contains(K: CycField, coinv: BasisVector) -> bool:
 
 
 def generate_submodule(K: CycField, coinv: BasisVector):
-    """F-orbit basis from a left coinvariant, plus the brute-force descriptor.
+    """F-orbit basis from a two-vertex left coinvariant V^{a,b}_{0,t}, plus the
+    brute-force descriptor; any other sector raises ValueError.
 
     The descriptor is recomputed from the orbit alone (orbit length, the first
     new coinvariant inside it, membership of the seed in the image of F) and
     must agree with classify_coinvariant; the tests assert that.
     """
-    if coinv.crosses[0] != 0:
-        raise ValueError(f"{coinv} is not a left coinvariant")
+    if coinv.nvertex != 2 or coinv.crosses[0] != 0:
+        raise ValueError(f"{coinv} is not a two-vertex left coinvariant")
     p = K.p
     basis = []
     v = {coinv: K.one}
@@ -123,11 +129,6 @@ def generate_submodule(K: CycField, coinv: BasisVector):
             raise VerificationError("orbit failed to terminate")
         v = yds.act_F(K, v)
     dim = len(basis)
-    if coinv.nvertex == 1:
-        a = coinv.charges[0]
-        if dim != a % p + 1:
-            raise VerificationError(f"one-vertex orbit of {coinv} has length {dim}")
-        return basis, ModuleDescriptor("S" if dim == p else "X", dim, raw_nu(a, dim, p), (a,))
     a, b = coinv.charges
     t = coinv.crosses[1]
     a_eff = a + b - 2 * t

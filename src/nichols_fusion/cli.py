@@ -28,7 +28,7 @@ from pathlib import Path
 from .cyclo import cyclotomic_field
 from . import classify as cl
 from . import loop as lp
-from .fusion import FusionResult, fusion_table
+from .fusion import fusion_table
 from .suites import run_suite, SUITES
 from .linalg import VerificationError
 
@@ -64,9 +64,9 @@ def _payload_fusion(p: int, nu_mod: int) -> dict:
     table = []
     for (r1, nu1, r2, nu2), res in fusion_table(p, range(nu_mod)).items():
         row = {"r1": r1, "nu1": nu1, "r2": r2, "nu2": nu2}
-        if isinstance(res, FusionResult):
+        if isinstance(res, tuple):
             row["summands"] = sorted(
-                ({"kind": d.kind, "r": d.r, "nu": d.nu % nu_mod} for d in res.summands),
+                ({"kind": d.kind, "r": d.r, "nu": d.nu % nu_mod} for d in res),
                 key=lambda d: (d["kind"], d["r"], d["nu"]),
             )
         else:

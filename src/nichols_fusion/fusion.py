@@ -17,8 +17,9 @@ fuse_simples computes X(r1)_{nu1} (x) X(r2)_{nu2} along two independent paths:
                 each one, check the L -> P extension top vector is present,
                 and verify the dimensions exhaust r1*r2.
 
-fusion_table runs fuse_simples once per ordered pair of simples; the fusion
-command and the fusion and ring suites read their pairs from it.
+fuse_simples returns the summands as a ModuleDescriptor tuple sorted by
+(kind, r, nu); fusion_table runs it once per ordered pair of simples, and the
+fusion command and the fusion and ring suites read their pairs from it.
 
 The closed form labels a projective summand by its top subquotient, i.e.
 P[s]_nu has socle series X(s)_nu on top of X(p-s)_{nu-1} + X(p-s)_{nu+1} on
@@ -29,12 +30,11 @@ the summand P[p-r]_{m+1} before comparing.  Both paths must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .cyclo import CycField, cyclotomic_field
 from . import ydspace as yds
-from .classify import ModuleDescriptor, classify_coinvariant, top_extension_vector
+from .classify import ModuleDescriptor, classify_coinvariant, simple_charge, top_extension_vector
 from .linalg import Echelon, VerificationError, linear_extend
 
 
@@ -91,19 +91,6 @@ def fused_monodromy(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     return fusion_map(K, yds.braid_B2(K, x))
 
 
-@dataclass(frozen=True)
-class FusionResult:
-    p: int
-    r1: int
-    nu1: int
-    r2: int
-    nu2: int
-    summands: tuple  # sorted tuple of ModuleDescriptor (kinds X and P)
-
-    def total_dimension(self) -> int:
-        return sum(d.dimension(self.p) for d in self.summands)
-
-
 def _sorted(descs) -> tuple:
     return tuple(sorted(descs, key=lambda d: (d.kind, d.r, d.nu)))
 
@@ -127,8 +114,7 @@ def fuse_closed(p: int, r1: int, nu1: int, r2: int, nu2: int):
 def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
     """Decompose the fused image directly; see the module docstring."""
     p = K.p
-    a = r1 - 1 - nu1 * p
-    b = r2 - 1 - nu2 * p
+    a, b = simple_charge(p, r1, nu1), simple_charge(p, r2, nu2)
     ech = Echelon(K)
     for s in range(r1):
         for t in range(r2):
@@ -168,8 +154,8 @@ def fuse_brute(K: CycField, r1: int, nu1: int, r2: int, nu2: int):
     return _sorted(summands)
 
 
-def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> FusionResult:
-    """Fusion of X(r1)_{nu1} with X(r2)_{nu2}; both paths, which must agree."""
+def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> tuple:
+    """The summands of X(r1)_{nu1} (x) X(r2)_{nu2}; both paths, which must agree."""
     closed = fuse_closed(p, r1, nu1, r2, nu2)
     brute = fuse_brute(cyclotomic_field(p), r1, nu1, r2, nu2)
     if closed != brute:
@@ -177,14 +163,14 @@ def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> FusionResult:
             f"fusion paths disagree at p={p}, "
             f"({r1},{nu1})x({r2},{nu2}): closed={closed}, brute={brute}"
         )
-    return FusionResult(p, r1, nu1, r2, nu2, closed)
+    return closed
 
 
 def fusion_table(p: int, nus) -> dict:
     """fuse_simples on every ordered pair of simples, keyed (r1, nu1, r2, nu2)
     with r in [1, p] and nu in nus, in that nesting order (the fusion
-    command's row order).  A pair whose two paths disagree maps to its
-    VerificationError instead of a FusionResult."""
+    command's row order).  Each value is the pair's summand tuple, or the
+    VerificationError of a pair whose two paths disagree."""
     table = {}
     for key in product(range(1, p + 1), nus, range(1, p + 1), nus):
         try:

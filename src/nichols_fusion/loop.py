@@ -44,7 +44,7 @@ from . import ydspace as yds
 from .linalg import VerificationError, linear_extend, scale, vec_sub
 from . import nichols
 from . import fusionring as fr
-from .classify import ModuleDescriptor
+from .classify import ModuleDescriptor, simple_charge
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +110,13 @@ def dual_act_U2(K: CycField, a: int, b: int, s: int, t: int, r: int):
 
 def dual_descriptor(p: int, desc: ModuleDescriptor) -> ModuleDescriptor:
     """Left dual: X(r)_nu -> X(r)_{-nu}; V[r]_nu -> V[p-r]_{-nu-1};
-    P[r]_nu -> P[r]_{-2-nu} with relabeled coinvariant data."""
+    P[r]_nu -> P[r]_{-2-nu}.  The dual carries no coinvariant labels."""
     if desc.kind in ("X", "S"):
         return ModuleDescriptor(desc.kind, desc.r, -desc.nu)
     if desc.kind == "V":
         return ModuleDescriptor("V", p - desc.r, -desc.nu - 1)
     if desc.kind == "P":
-        labels = ()
-        if len(desc.labels) == 3:
-            a, t, b = desc.labels
-            labels = (-a - 2, p - desc.r - t - 1, -b - 2)
-        return ModuleDescriptor("P", desc.r, -2 - desc.nu, labels)
+        return ModuleDescriptor("P", desc.r, -2 - desc.nu)
     raise ValueError(f"no duality data for {desc}")
 
 
@@ -241,7 +237,7 @@ def lambda_ratio(K: CycField, rp: int, nup: int, r: int, nu: int) -> CycNum:
 def lambda_steinberg(K: CycField, nup: int, r: int, nu: int) -> CycNum:
     """lambda(p, nu'; r, nu) = (-1)^{(nu'+1)(r-1-nu p)} r."""
     val = K.from_int(r)
-    return -val if ((nup + 1) * (r - 1 - nu * K.p)) % 2 else val
+    return -val if ((nup + 1) * simple_charge(K.p, r, nu)) % 2 else val
 
 
 def mu_closed(K: CycField, rp: int, nup: int, r: int, nu: int) -> CycNum:
@@ -271,10 +267,10 @@ def _chi_is(K: CycField, b: int, lam: CycNum, terms) -> bool:
 def verify_chi_on_simple(K: CycField, rp: int, nup: int, r: int, nu: int) -> bool:
     """Z = X(r)_nu run around Y = X(r')_{nu'} is the scalar lambda_closed on
     every basis vector V^a_s, s < r'."""
-    a = rp - 1 - nup * K.p
+    a = simple_charge(K.p, rp, nup)
     basis = [{yds.one_vertex(a, s): K.one} for s in range(rp)]
     lam = lambda_closed(K, rp, nup, r, nu)
-    return _chi_is(K, r - 1 - nu * K.p, lam, ((w, {}) for w in basis))
+    return _chi_is(K, simple_charge(K.p, r, nu), lam, ((w, {}) for w in basis))
 
 
 def verify_chi_on_P(K: CycField, vs, us, pdesc: ModuleDescriptor, r: int, nu: int) -> bool:
@@ -285,7 +281,7 @@ def verify_chi_on_P(K: CycField, vs, us, pdesc: ModuleDescriptor, r: int, nu: in
     lam = lambda_closed(K, rp, pdesc.nu, r, nu)
     mu = mu_closed(K, rp, pdesc.nu, r, nu)
     nil = [{}] * p + [scale(vs[rp + i], mu) if rp + i < p else {} for i in range(p)]
-    return _chi_is(K, r - 1 - nu * p, lam, zip(vs + us, nil))
+    return _chi_is(K, simple_charge(p, r, nu), lam, zip(vs + us, nil))
 
 
 def verify_multiplicativity(p: int, w, z, y) -> bool:

@@ -356,32 +356,27 @@ def braid_B2_onepass(K: CycField, x: dict) -> dict:
 
 
 def ribbon_scalar(K: CycField, x: int) -> CycNum:
-    """The twist q^{((x+1)^2 - 1)/2} = zeta^{x(x+2)} on a one-vertex vector of
-    charge x; the two-vertex ribbon map carries it as its prefactor."""
+    """The one-vertex twist q^{((x+1)^2 - 1)/2} = zeta^{x(x+2)} on V^x_s; the
+    two-vertex ribbon map carries it as its prefactor."""
     return K.zeta_pow(x * (x + 2))
 
 
 def ribbon(K: CycField, v: dict) -> dict:
-    """theta on 1- and 2-vertex sectors.
-
-    One vertex: theta V^a_s = ribbon_scalar(a) V^a_s.
-    Two vertices: the prefactor ribbon_scalar(a+b-2t) times the cross-moving
-    sum over i with coefficient q^{-ia} xi^i [t+i over i] prod_{j<i} [t+j-b],
-    which is the action coefficient c^{a,b}_{0,t}(i,i) (_c2).
+    """theta on the two-vertex sector: the prefactor ribbon_scalar(a+b-2t)
+    times the cross-moving sum over i with coefficient
+    q^{-ia} xi^i [t+i over i] prod_{j<i} [t+j-b], which is the action
+    coefficient c^{a,b}_{0,t}(i,i) (_c2).  Any other sector raises ValueError;
+    the one-vertex twist is ribbon_scalar.
     """
     out = {}
     for bv, c in v.items():
-        if bv.nvertex == 1:
-            a = bv.charges[0]
-            add_term(out, bv, c * ribbon_scalar(K, a))
-        elif bv.nvertex == 2:
-            (a, b), (s, t) = bv.charges, bv.crosses
-            pre = c * ribbon_scalar(K, a + b - 2 * t)
-            for i in range(s + 1):
-                coef = pre * _c2(K, a, b, 0, t, i, i)
-                _put(K, out, BasisVector(bv.charges, (s - i, t + i)), coef)
-        else:
-            raise ValueError("ribbon is implemented on 1- and 2-vertex sectors only")
+        if bv.nvertex != 2:
+            raise ValueError(f"ribbon is the two-vertex map; {bv} is not two-vertex")
+        (a, b), (s, t) = bv.charges, bv.crosses
+        pre = c * ribbon_scalar(K, a + b - 2 * t)
+        for i in range(s + 1):
+            coef = pre * _c2(K, a, b, 0, t, i, i)
+            _put(K, out, BasisVector(bv.charges, (s - i, t + i)), coef)
     return out
 
 

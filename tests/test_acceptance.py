@@ -121,8 +121,8 @@ def test_criterion_5_fusion():
                 for r2 in range(1, p + 1):
                     for nu2 in range(4):
                         res = fu.fuse_simples(p, r1, nu1, r2, nu2)
-                        assert res.total_dimension() == r1 * r2
-                        for d in res.summands:
+                        assert sum(d.dimension(p) for d in res) == r1 * r2
+                        for d in res:
                             assert d.nu == (nu1 + nu2) % 4
 
 

@@ -58,14 +58,27 @@ def test_generate_submodule_agrees_with_conditions(p):
                 assert len(basis) == (p if bd.kind in ("S", "L") else bd.r)
 
 
+def one_vertex_orbit(K, a):
+    """Reference form: the F-orbit basis of the one-vertex coinvariant V^a_0."""
+    basis, v = [], {one_vertex(a, 0): K.one}
+    while v:
+        basis.append(v)
+        v = yds.act_F(K, v)
+    return basis
+
+
 def test_generate_submodule_one_vertex_examples():
+    # the one-vertex orbit is built here; generate_submodule takes two-vertex
+    # left coinvariants only
     K = cyclotomic_field(5)
-    basis, d = cl.generate_submodule(K, one_vertex(0, 0))
-    assert d.kind == "X" and d.r == 1 and len(basis) == 1
-    basis, d = cl.generate_submodule(K, one_vertex(4, 0))
-    assert d.kind == "S" and d.r == 5 and len(basis) == 5
-    with pytest.raises(ValueError):
-        cl.generate_submodule(K, one_vertex(0, 1))
+    for a in range(10):
+        d = cl.classify_one_vertex(5, a)
+        assert len(one_vertex_orbit(K, a)) == d.r == a % 5 + 1
+    assert cl.classify_one_vertex(5, 0).kind == "X"
+    assert cl.classify_one_vertex(5, 4).kind == "S"
+    for bv in (one_vertex(0, 0), one_vertex(4, 0), one_vertex(0, 1), two_vertex(0, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            cl.generate_submodule(K, bv)
 
 
 def test_generate_submodule_L_example_p5():
@@ -88,13 +101,12 @@ def extend_to_V(K, desc):
     p = K.p
     if len(desc.labels) == 1:
         a = desc.labels[0]
-        seed = yds.one_vertex(a, 0)
+        basis = one_vertex_orbit(K, a)
         top = {yds.one_vertex(a, desc.r): K.one}
     else:
         a, t, b = desc.labels
-        seed = yds.two_vertex(a, b, 0, t)
+        basis, _ = cl.generate_submodule(K, yds.two_vertex(a, b, 0, t))
         top = cl.top_extension_vector(K, a, b, t, desc.r)
-    basis, _ = cl.generate_submodule(K, seed)
     ech = Echelon(K)
     for v in basis:
         ech.add(v)

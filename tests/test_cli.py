@@ -618,3 +618,17 @@ def test_verify_equals_the_recorded_json(p):
     # the recorded outputs that CI diffs a fresh run against
     want = (Path(__file__).parent / "data" / f"verify_p{p}_all.json").read_text()
     assert run_cli(["verify", "--p", str(p), "--suite", "all", "--format", "json"]) == (0, want)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("fusion_p4_nu4", ["fusion", "--nu-mod", "4"]),
+    ("fusion_p4", ["fusion"]),
+    ("classify_p4", ["classify"]),
+    ("decompose_p4_v1", ["decompose", "--vertices", "1"]),
+    ("decompose_p4_v2", ["decompose", "--vertices", "2"]),
+])
+def test_table_command_equals_the_recorded_json(name, args):
+    # the recorded p = 4 outputs of the table commands; fusion's rows come from
+    # fusion_table's summand tuples
+    want = (Path(__file__).parent / "data" / f"{name}.json").read_text()
+    assert run_cli(args + ["--p", "4", "--format", "json"]) == (0, want)

@@ -40,17 +40,17 @@ def test_fuse_unit():
         for r in range(1, p + 1):
             for nu in range(4):
                 res = fu.fuse_simples(p, 1, 0, r, nu)
-                assert [(d.kind, d.r, d.nu) for d in res.summands] == [("X", r, nu)]
+                assert [(d.kind, d.r, d.nu) for d in res] == [("X", r, nu)]
 
 
 def test_fuse_examples():
     res = fu.fuse_simples(2, 2, 0, 2, 0)
-    assert [(d.kind, d.r, d.nu) for d in res.summands] == [("P", 1, 0)]
-    assert res.total_dimension() == 4
+    assert [(d.kind, d.r, d.nu) for d in res] == [("P", 1, 0)]
+    assert sum(d.dimension(2) for d in res) == 4
     res = fu.fuse_simples(3, 2, 0, 2, 0)
-    assert [(d.kind, d.r, d.nu) for d in res.summands] == [("X", 1, 0), ("X", 3, 0)]
+    assert [(d.kind, d.r, d.nu) for d in res] == [("X", 1, 0), ("X", 3, 0)]
     res = fu.fuse_simples(3, 2, 0, 3, 0)
-    assert [(d.kind, d.r, d.nu) for d in res.summands] == [("P", 2, 0)]
+    assert [(d.kind, d.r, d.nu) for d in res] == [("P", 2, 0)]
 
 
 def test_fuse_rejects_bad_range():
@@ -67,10 +67,10 @@ def test_fuse_full_grid(p):
             for r2 in range(1, p + 1):
                 for nu2 in range(4):
                     res = fu.fuse_simples(p, r1, nu1, r2, nu2)
-                    assert res.total_dimension() == r1 * r2
+                    assert sum(d.dimension(p) for d in res) == r1 * r2
                     swapped = fu.fuse_simples(p, r2, nu2, r1, nu1)
-                    assert res.summands == swapped.summands
-                    for d in res.summands:
+                    assert res == swapped
+                    for d in res:
                         assert d.nu == (nu1 + nu2) % 4
 
 
@@ -81,7 +81,7 @@ def test_dimension_conservation_up_to_p6():
                 for r2 in range(1, p + 1):
                     for nu2 in range(4):
                         res = fu.fuse_simples(p, r1, nu1, r2, nu2)
-                        assert res.total_dimension() == r1 * r2
+                        assert sum(d.dimension(p) for d in res) == r1 * r2
 
 
 def test_five_case_table_matches_classifier():
@@ -105,8 +105,8 @@ def test_five_case_table_matches_classifier():
 
 def test_steinberg_square_p3():
     res = fu.fuse_simples(3, 3, 0, 3, 0)
-    assert [(d.kind, d.r, d.nu) for d in res.summands] == [("P", 1, 0), ("X", 3, 0)]
-    assert res.total_dimension() == 9
+    assert [(d.kind, d.r, d.nu) for d in res] == [("P", 1, 0), ("X", 3, 0)]
+    assert sum(d.dimension(3) for d in res) == 9
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -165,7 +165,10 @@ def test_fusion_table_keys_in_row_order():
     p = 3
     table = fu.fusion_table(p, range(4))
     assert list(table) == list(product(range(1, p + 1), range(4), range(1, p + 1), range(4)))
-    assert all(isinstance(res, fu.FusionResult) for res in table.values())
+    # each value is the pair's sorted summand tuple
+    for key, res in table.items():
+        assert isinstance(res, tuple) and res == fu.fuse_closed(p, *key)
+        assert all(isinstance(d, fu.ModuleDescriptor) for d in res)
 
 
 def test_fusion_table_error_is_confined_to_its_pair(monkeypatch):

@@ -460,7 +460,6 @@ def test_dual_descriptor():
     assert (dd.kind, dd.r, dd.nu % 4) == ("X", 2, 3)
     dp = lp.dual_descriptor(5, cl.ModuleDescriptor("P", 2, 1, (0, 2, 0)))
     assert (dp.kind, dp.r, dp.nu % 4) == ("P", 2, 1)  # -2-1 = -3 = 1 mod 4
-    assert dp.labels == (-2, 0, -2)
     dv = lp.dual_descriptor(5, cl.ModuleDescriptor("V", 2, 0))
     assert (dv.kind, dv.r, dv.nu % 4) == ("V", 3, 3)
     with pytest.raises(ValueError):

@@ -430,11 +430,13 @@ def test_b2_composite_equals_onepass(p):
 
 def test_ribbon_examples():
     K = cyclotomic_field(4)
-    for s in range(4):
-        assert yds.ribbon(K, {one_vertex(0, s): K.one}) == {one_vertex(0, s): K.one}
-        for a in range(8):
-            got = yds.ribbon(K, {one_vertex(a, s): K.one})
-            assert got == {one_vertex(a, s): K.zeta_pow(a * (a + 2))}
+    # one vertex: the twist is the scalar ribbon_scalar(a); ribbon itself
+    # is the two-vertex map and rejects the sector
+    assert yds.ribbon_scalar(K, 0) == K.one
+    for a in range(8):
+        assert yds.ribbon_scalar(K, a) == K.zeta_pow(a * (a + 2))
+        with pytest.raises(ValueError):
+            yds.ribbon(K, {one_vertex(a, 0): K.one})
     # two-vertex with s=0: only the prefactor survives
     for a in range(4):
         for b in range(4):
@@ -454,7 +456,7 @@ def test_commutes_with_coaction_is_not_vacuous():
 
     K = cyclotomic_field(3)
     for a in range(6):
-        v = {one_vertex(a, 1): K.one}
+        v = {two_vertex(a, 2, 1, 1): K.one}
         assert yds.commutes_with_coaction(K, lambda w: yds.ribbon(K, w), v)
         # the coaction on a TensorVec is inferred from its keys: tensor_coact
         x = {(one_vertex(a, 1), one_vertex(2, 1)): K.one}
@@ -572,9 +574,10 @@ def test_module_maps_store_no_zero(p):
     images = []
     for bv in ones + twos:
         v = {bv: K.one}
-        images += [yds.act_F_basis(K, bv), yds.ribbon(K, v)]
+        images.append(yds.act_F_basis(K, bv))
         images += [yds.act_Fr_basis(K, r, bv) for r in range(p)]
         images += yds.coact(K, v).values()
+    images += [yds.ribbon(K, {bv: K.one}) for bv in twos]
     for y, z in pairs:
         x = {(y, z): K.one}
         images += [yds.braid_B(K, x), yds.braid_B_inv(K, x), fu.fusion_map_basis(K, y, z)]
