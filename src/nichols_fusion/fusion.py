@@ -19,7 +19,7 @@ fuse_simples computes X(r1)_{nu1} (x) X(r2)_{nu2} along two independent paths:
 
 fuse_simples returns the summands as a ModuleDescriptor tuple sorted by
 (kind, r, nu); fusion_table runs it once per ordered pair of simples, and the
-fusion command and the fusion and ring suites read their pairs from it.
+fusion command and the fusion suite read their pairs from it.
 
 The closed form labels a projective summand by its top subquotient, i.e.
 P[s]_nu has socle series X(s)_nu on top of X(p-s)_{nu-1} + X(p-s)_{nu+1} on

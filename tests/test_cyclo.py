@@ -361,9 +361,16 @@ def test_inverse_and_product_against_sympy():
         ]
         for r in range(1, p):
             operands += [K.q_int(r), K.q_fact(r), (K.q_pow(r) - K.q_pow(-r)) ** 3]
+        pairs = list(zip(operands, operands[1:] + operands[:1]))
+        # the sums below take the unequal-denominator branches of + and -
+        assert any(x.den != y.den for x, y in pairs), p
         for memo in ("cold", "warm"):
             entries = len(K._mul), len(K._inv)
-            for x, y in zip(operands, operands[1:] + operands[:1]):
+            for x, y in pairs:
+                assert as_poly(x + y) == as_poly(x) + as_poly(y), (p, memo, x, y)
+                assert as_poly(x - y) == as_poly(x) - as_poly(y), (p, memo, x, y)
+                # _make normalises a negative denominator
+                assert as_poly(K._make(list(x.num), -x.den)) == -as_poly(x), (p, memo, x)
                 if x.is_zero():
                     continue
                 assert as_poly(x.inv()) == sympy.invert(as_poly(x), phi), (p, memo, x)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nichols_fusion import fusionring as fr
@@ -66,6 +68,30 @@ def test_structure_constants_nonnegative_dimension_graded():
                 total = sum(r * m for (r, _), m in prod.items())
                 # the expansion double-counts: 2r + 2(p-r) = 2p for each P[r<p]
                 assert total >= g1[0] * g2[0]
+
+
+def _two_sums(p, r1, nu1, r2, nu2):
+    """Reference form: the two step-2 sums of the fusion theorem in the ring,
+
+        X(r1)_{n1} X(r2)_{n2} = sum_{s=|r1-r2|+1, step 2}^{p-1-|r1+r2-p|} X(s)_{n1+n2}
+                              + sum_{s=2p-r1-r2+1, step 2}^{p} P(s)_{n1+n2},
+
+    with P(s) expanded by p_expand (P(p) = X(p))."""
+    nu = (nu1 + nu2) % 2
+    out = {}
+    for s in range(abs(r1 - r2) + 1, p - abs(r1 + r2 - p), 2):
+        out[(s, nu)] = out.get((s, nu), 0) + 1
+    for s in range(2 * p - r1 - r2 + 1, p + 1, 2):
+        for key, m in fr.p_expand(p, s, nu).items():
+            out[key] = out.get(key, 0) + m
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_basis_product_equals_the_two_sums(p):
+    # the ring reads fuse_closed's summands; the sums are written out only here
+    for g1, g2 in product(fr.basis(p), repeat=2):
+        assert fr._basis_product(p, *g1, *g2) == _two_sums(p, *g1, *g2), (g1, g2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
