@@ -260,6 +260,9 @@ class CycField:
                       value ids, packed as lo << 32 | hi -> canonical product.
                       Ids 0 and 1 are zero and one.
     They live as long as the field and grow with the number of distinct keys.
+    Fields, and so memos, are per process: a parallel_map worker inherits the
+    parent's fields as they were at the fork, and what it adds to their memos
+    is dropped when the worker exits.
     All values are immutable (the _act images are dicts, shared read-only) and
     operations are pure; instances are safe to share across threads: the memo
     caches are idempotent dict writes, and value ids come from an

@@ -36,6 +36,7 @@ from .cyclo import CycField, cyclotomic_field
 from . import ydspace as yds
 from .classify import ModuleDescriptor, classify_coinvariant, simple_charge, top_extension_vector
 from .linalg import Echelon, VerificationError, linear_extend
+from .parallel import parallel_map
 
 
 def fusion_map_basis(K: CycField, bv1: yds.BasisVector, bv2: yds.BasisVector) -> dict:
@@ -166,15 +167,29 @@ def fuse_simples(p: int, r1: int, nu1: int, r2: int, nu2: int) -> tuple:
     return closed
 
 
+def _fusion_row(task) -> list:
+    """The (key, summands or VerificationError) pairs of row (r1, nu1)."""
+    p, r1, nu1, nus = task
+    row = []
+    for r2, nu2 in product(range(1, p + 1), nus):
+        key = (r1, nu1, r2, nu2)
+        try:
+            row.append((key, fuse_simples(p, *key)))
+        except VerificationError as exc:
+            row.append((key, exc))
+    return row
+
+
 def fusion_table(p: int, nus) -> dict:
     """fuse_simples on every ordered pair of simples, keyed (r1, nu1, r2, nu2)
     with r in [1, p] and nu in nus, in that nesting order (the fusion
     command's row order).  Each value is the pair's summand tuple, or the
-    VerificationError of a pair whose two paths disagree."""
-    table = {}
-    for key in product(range(1, p + 1), nus, range(1, p + 1), nus):
-        try:
-            table[key] = fuse_simples(p, *key)
-        except VerificationError as exc:
-            table[key] = exc
-    return table
+    VerificationError of a pair whose two paths disagree.
+
+    Each row (r1, nu1) is one parallel_map task.  The rows a worker runs
+    share its field memos, which are dropped when it exits; inside a worker
+    (the fusion suite under run_suite(p, "all")) the rows run in-process.
+    """
+    rows = parallel_map(_fusion_row, [(p, r1, nu1, nus)
+                                      for r1, nu1 in product(range(1, p + 1), nus)])
+    return dict(pair for row in rows for pair in row)

@@ -18,6 +18,7 @@ from . import classify as cl
 from . import fusion as fu
 from . import loop as lp
 from . import fusionring as fr
+from .parallel import parallel_map
 
 
 @dataclass
@@ -503,10 +504,22 @@ SUITES = {
 }
 
 
+def _suite_task(task):
+    p, name = task
+    return SUITES[name](p)
+
+
 def run_suite(p: int, name: str):
+    """The CheckResults of one suite, or of every suite in SUITES order for
+    name "all".
+
+    "all" runs each suite as one parallel_map task, read from SUITES inside
+    the worker.  The suites a worker runs share its field memos, which are
+    dropped when the worker exits; the results are the same, in the same
+    order, as from one process.  One named suite runs in this process (the
+    fusion suite still spreads its table rows; see fusion.fusion_table).
+    """
     if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key](p))
-        return results
+        return [c for checks in parallel_map(_suite_task, [(p, key) for key in SUITES])
+                for c in checks]
     return SUITES[name](p)

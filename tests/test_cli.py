@@ -168,20 +168,24 @@ def test_fusion_disagreement_is_an_error_row(monkeypatch):
     assert all("summands" in r for r in data["table"] if "error" not in r)
 
 
-def test_fusion_suite_fuses_each_pair_once(monkeypatch):
-    # both orders of a pair are read from one table: (4p)^2 calls, not twice that
+def test_fusion_suite_fuses_each_pair_once(monkeypatch, tmp_path):
+    # both orders of a pair are read from one table: (4p)^2 calls, not twice
+    # that; the table rows may run in worker processes, so each call appends
+    # one line to a file rather than to a list of this process
     from nichols_fusion import fusion as fu
 
-    calls = []
+    log = tmp_path / "calls"
     fuse = fu.fuse_simples
 
     def counted(*args):
-        calls.append(args)
+        with open(log, "a") as fh:
+            fh.write(f"{args}\n")
         return fuse(*args)
 
     monkeypatch.setattr(fu, "fuse_simples", counted)
     code, out = run_cli(["verify", "--p", "3", "--suite", "fusion"])
     assert code == 0, out
+    calls = log.read_text().splitlines()
     assert len(calls) == 144
     assert len(set(calls)) == 144
 
