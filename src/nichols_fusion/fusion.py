@@ -188,7 +188,8 @@ def fusion_table(p: int, nus) -> dict:
 
     Each row (r1, nu1) is one parallel_map task.  The rows a worker runs
     share its field memos, which are dropped when it exits; inside a worker
-    (the fusion suite under run_suite(p, "all")) the rows run in-process.
+    (the check fusion.theorem_both_paths under suites.run_suite) the rows
+    run in-process.
     """
     rows = parallel_map(_fusion_row, [(p, r1, nu1, nus)
                                       for r1, nu1 in product(range(1, p + 1), nus)])

@@ -11,6 +11,7 @@ import pytest
 
 from nichols_fusion import parallel
 from nichols_fusion.cli import main
+from nichols_fusion.suites import SUITES, run_suite
 
 DATA = Path(__file__).parent / "data"
 REAL_JOBS = parallel.jobs
@@ -77,17 +78,66 @@ def test_a_task_error_reaches_the_caller(monkeypatch, k):
         parallel.parallel_map(_fails_on_three, range(6))
 
 
+def recorded(name, args):
+    """The recorded output tests/data/<name>.json, cut to the checks of the
+    one suite that args name when the record holds every suite."""
+    text = (DATA / f"{name}.json").read_text()
+    payload = json.loads(text)
+    suite = args[args.index("--suite") + 1] if "--suite" in args else None
+    if payload.get("suite", suite) == suite:
+        return text
+    checks = [c for c in payload["checks"] if c["name"].split(".")[0] == suite]
+    payload.update(checks=checks, ok=all(c["ok"] for c in checks), suite=suite)
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("name, args", [
     ("verify_p2_all", ["verify", "--p", "2", "--suite", "all"]),
     ("verify_p3_all", ["verify", "--p", "3", "--suite", "all"]),
     ("verify_p4_all", ["verify", "--p", "4", "--suite", "all"]),
     ("fusion_p4_nu4", ["fusion", "--p", "4", "--nu-mod", "4"]),
+    ("verify_p6_braiding", ["verify", "--p", "6", "--suite", "braiding"]),
+    ("verify_p6_yd", ["verify", "--p", "6", "--suite", "yd"]),
+    *(("verify_p4_all", ["verify", "--p", "4", "--suite", suite]) for suite in SUITES),
 ])
 def test_output_does_not_depend_on_the_job_count(monkeypatch, k, name, args):
     force_jobs(monkeypatch, k)
-    assert run_main(args) == (0, (DATA / f"{name}.json").read_text())
+    assert run_main(args) == (0, recorded(name, args))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_raising_check_fails_alike_on_any_job_count(monkeypatch, k):
+    # the planted F(2) image of tests/test_cli.py::test_yd_images_are_built_as_r_grows:
+    # each check it reaches ends at the same instance, in whichever worker runs it
+    from nichols_fusion import ydspace as yds
+    from nichols_fusion.linalg import VerificationError
+
+    act = yds.act_Fr_basis
+
+    def broken(K, r, bv):
+        if r == 2 and bv.nvertex == 2:
+            raise VerificationError("planted at r = 2")
+        return act(K, r, bv)
+
+    monkeypatch.setattr(yds, "act_Fr_basis", broken)
+    force_jobs(monkeypatch, k)
+    code, out = run_main(["verify", "--p", "3", "--suite", "yd"])
+    failed = [(c["name"], c["count"], c["detail"]) for c in json.loads(out)["checks"] if not c["ok"]]
+    detail = "first failure: instance 3 (1 failing); instance 3 raised: planted at r = 2"
+    assert code == 2
+    assert failed == [(f"yd.{name}", 3, detail) for name in ("two_vertex", "closed_form_action")]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_suite_entry_equals_its_parallel_run(monkeypatch, k):
+    # the benchmark tracer wraps each SUITES entry and reads the CheckResults
+    # it returns, so an entry must give what run_suite gives, in one process
+    force_jobs(monkeypatch, k)
+    for name, suite in SUITES.items():
+        assert suite(3) == run_suite(3, name), name
+    assert run_suite(3, "all") == [c for suite in SUITES.values() for c in suite(3)]
 
 
 def test_error_rows_cross_the_pool(monkeypatch):
@@ -111,18 +161,22 @@ def test_error_rows_cross_the_pool(monkeypatch):
 
 
 def test_a_killed_worker_ends_the_run_with_an_error():
+    # the first check task of the hopf suite kills the worker that runs it,
+    # whether the run covers every suite or that one
     script = (
         "import os, signal, sys\n"
         "from nichols_fusion import parallel, suites\n"
         "parallel.jobs = lambda n: 1 if parallel._worker else max(1, min(n, 2))\n"
-        "suites.SUITES['hopf'] = lambda p: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "kill = lambda p: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "suites.CHECKS['hopf'] = (kill, *suites.CHECKS['hopf'][1:])\n"
         "from nichols_fusion.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(parallel.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "verify", "--p", "3", "--suite", "all", "--no-cache"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode != 0
-    assert "BrokenProcessPool" in proc.stderr, proc.stderr
+    for suite in ("all", "hopf"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify", "--p", "3", "--suite", suite, "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0, suite
+        assert "BrokenProcessPool" in proc.stderr, proc.stderr
