@@ -51,13 +51,35 @@ def fusion_map_basis(K: CycField, bv1: yds.BasisVector, bv2: yds.BasisVector) ->
     return out
 
 
-def fusion_map(K: CycField, x: dict) -> dict:
+def fusion_map(K: CycField, x: dict, images: dict | None = None) -> dict:
     """Linear extension of the basis fusion map to a TensorVec, landing in the
-    (a,b) sector."""
-    return linear_extend(lambda key: fusion_map_basis(K, *key), x)
+    (a,b) sector; images is linear_extend's dict of fusion_map_basis images."""
+    return linear_extend(lambda key: fusion_map_basis(K, *key), x, images)
 
 
-def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
+def _monodromy_sums(K: CycField, a: int, b: int, s: int, t: int) -> tuple:
+    """The pairs (n, S_n) with S_n nonzero, n = 0..s+t, in the order of n,
+    where S_n = sum_{j <= min(n,t)} q^{2j(j-1) - 2bj} [s+t-j over s] c1(b, j, n-j).
+
+    Each term goes through _put at the key V^{a,b}_{s+t-n, n}, so a nonzero
+    term at an out-of-range cross count raises VerificationError naming
+    that key; a is read for that name only.
+    """
+    acc = {}
+    for n in range(s + t + 1):
+        key = yds.two_vertex(a, b, s + t - n, n)
+        for j in range(min(n, t) + 1):
+            coef = (
+                K.q_pow(2 * j * (j - 1) - 2 * b * j)
+                * K.q_binom(s + t - j, s)
+                * yds._c1(K, b, j, n - j)
+            )
+            yds._put(K, acc, key, coef)
+    return tuple((key.crosses[1], c) for key, c in acc.items())
+
+
+def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int,
+                          sums: dict | None = None) -> dict:
     """Closed form for fusion_map(B^2(V^a_s (x) V^b_t)), with two-vertex output:
 
       sum_{n=0}^{s+t} sum_{j=0}^{min(n,t)}
@@ -68,28 +90,42 @@ def monodromy_closed_form(K: CycField, a: int, b: int, s: int, t: int) -> dict:
     action coefficient c1(b, j, n-j) of F(n-j) |> V^b_j, read from its memo
     (ydspace._c1).
 
+    The q-power splits as q^{ab - a(n+t)} q^{2j(j-1) - 2bj}, and the first
+    factor does not depend on j, so the coefficient of V^{a,b}_{s+t-n, n} is
+    q^{ab - a(n+t)} S_n with the charge-free sum
+
+      S_n = sum_{j=0}^{min(n,t)} q^{2j(j-1) - 2bj} [s+t-j over s] c1(b, j, n-j)
+
+    (_monodromy_sums).  S_n does not depend on a, and depends on b only mod p:
+    q^{-2bj} has q^2 of order p, and c1 reads b mod p.  sums, if given, is a
+    dict keyed (b mod p, s, t) of the pairs (n, S_n) that the caller owns,
+    filled on a miss and read on a hit.  The out-of-range rule of _put holds
+    term by term, and a term's zero-ness does not depend on a, since the
+    q-power is a unit: so a row that raises raises at the first instance
+    that needs it, with that instance's (a, b) in the message, and a row
+    enters the dict only once it was summed without raising.
+
     This is the n = i slice of the published triple-sum display; the terms the
     display seems to carry at i > n do not occur in the actual composite (the
     identity above was extracted symbolically over Z[q^{+-1}, q^{+-a}, q^{+-b}]
     and is checked exhaustively against braid_B2 in the tests).
     """
-    out = {}
-    for n in range(s + t + 1):
-        key = yds.two_vertex(a, b, s + t - n, n)
-        for j in range(min(n, t) + 1):
-            coef = (
-                K.q_pow(a * b + 2 * j * (j - 1) - 2 * b * j - a * (n + t))
-                * K.q_binom(s + t - j, s)
-                * yds._c1(K, b, j, n - j)
-            )
-            yds._put(K, out, key, coef)
-    return out
+    key = (b % K.p, s, t)
+    row = None if sums is None else sums.get(key)
+    if row is None:
+        row = _monodromy_sums(K, a, b, s, t)
+        if sums is not None:
+            sums[key] = row
+    # q^{ab - a(n+t)} is a unit and S_n is nonzero, so no zero is stored
+    return {yds.two_vertex(a, b, s + t - n, n): K.q_pow(a * (b - n - t)) * c for n, c in row}
 
 
-def fused_monodromy(K: CycField, a: int, b: int, s: int, t: int) -> dict:
-    """fusion_map composed with the double braiding, computed compositionally."""
+def fused_monodromy(K: CycField, a: int, b: int, s: int, t: int,
+                    braid_images: dict | None = None, fusion_images: dict | None = None) -> dict:
+    """fusion_map composed with the double braiding, computed compositionally;
+    the two dicts are braid_B2's and fusion_map's images."""
     x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-    return fusion_map(K, yds.braid_B2(K, x))
+    return fusion_map(K, yds.braid_B2(K, x, braid_images), fusion_images)
 
 
 def _sorted(descs) -> tuple:

@@ -37,11 +37,25 @@ def add_term(vec: dict, key, coef: CycNum) -> None:
         vec[key] = coef
 
 
-def linear_extend(basis_map, vec: dict) -> dict:
-    """sum_k c_k * basis_map(k): the linear extension of a map on basis keys."""
+def linear_extend(basis_map, vec: dict, images: dict | None = None) -> dict:
+    """sum_k c_k * basis_map(k): the linear extension of a map on basis keys.
+
+    images, if given, is a dict of basis images that the caller owns, for
+    one map only.  On a miss basis_map(k) is built and stored under k, so a
+    key enters the dict only once its image was built without raising; a hit
+    reads the stored image.  Stored images are read and never mutated, here
+    or by any caller, so each equals a fresh build of its key.  The caller
+    decides how long the dict lives.  Without it, every image is built anew.
+    """
     out = {}
     for key, c in vec.items():
-        for bw, d in basis_map(key).items():
+        if images is None:
+            image = basis_map(key)
+        else:
+            image = images.get(key)
+            if image is None:
+                image = images[key] = basis_map(key)
+        for bw, d in image.items():
             add_term(out, bw, c * d)
     return out
 

@@ -86,6 +86,19 @@ def _one_vertex_pairs(p: int, nb: int):
     return product(range(2 * p), range(nb), range(p), range(p))
 
 
+def _sectors(p: int, nb: int):
+    """The (a, b) of _one_vertex_pairs(p, nb), whose (s, t) run over
+    product(range(p), repeat=2) inside each sector.
+
+    The checks that map V^a_s (x) V^b_t by braid_B, braid_B_inv or
+    fusion_map hold one dict of basis images per map and sector (see
+    linalg.linear_extend): every image lands in the sector's own two- or
+    one-vertex keys, and a new dict for each sector keeps only one sector's
+    images alive.
+    """
+    return product(range(2 * p), range(nb))
+
+
 def _two_vertex_basis(p: int):
     """(a, b, s, t) labelling V^{a,b}_{s,t}, all in [0, p)."""
     return product(range(p), repeat=4)
@@ -240,28 +253,36 @@ def _yd_closed_form_action(p: int):
 @_one("braiding.B_inverse")
 def _braiding_B_inverse(p: int):
     K = cyclotomic_field(p)
-    for a, b, s, t in _one_vertex_pairs(p, 2 * p):
-        x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-        ok = yds.braid_B_inv(K, yds.braid_B(K, x)) == x
-        ok = ok and yds.braid_B(K, yds.braid_B_inv(K, x)) == x
-        yield (a, b, s, t), ok
+    for a, b in _sectors(p, 2 * p):
+        braid, inverse = {}, {}
+        for s, t in product(range(p), repeat=2):
+            x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
+            ok = yds.braid_B_inv(K, yds.braid_B(K, x, braid), inverse) == x
+            ok = ok and yds.braid_B(K, yds.braid_B_inv(K, x, inverse), braid) == x
+            yield (a, b, s, t), ok
 
 
 @_one("braiding.B2_composite")
 def _braiding_B2_composite(p: int):
     K = cyclotomic_field(p)
-    for a, b, s, t in _one_vertex_pairs(p, p):
-        x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-        yield (a, b, s, t), yds.braid_B2(K, x) == yds.braid_B2_onepass(K, x)
+    for a, b in _sectors(p, p):
+        braid = {}  # the oracle braid_B2_onepass reads no cache
+        for s, t in product(range(p), repeat=2):
+            x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
+            yield (a, b, s, t), yds.braid_B2(K, x, braid) == yds.braid_B2_onepass(K, x)
 
 
 @_one("braiding.monodromy_closed_form")
 def _braiding_monodromy_closed_form(p: int):
     K = cyclotomic_field(p)
-    for a, b, s, t in _one_vertex_pairs(p, 2 * p):
-        yield (a, b, s, t), (
-            fu.fused_monodromy(K, a, b, s, t) == fu.monodromy_closed_form(K, a, b, s, t)
-        )
+    sums = {}  # the closed form's charge-free sums serve every sector
+    for a, b in _sectors(p, 2 * p):
+        braid, fused = {}, {}
+        for s, t in product(range(p), repeat=2):
+            yield (a, b, s, t), (
+                fu.fused_monodromy(K, a, b, s, t, braid, fused)
+                == fu.monodromy_closed_form(K, a, b, s, t, sums)
+            )
 
 
 @_one("braiding.coinvariant_scalar")
@@ -280,10 +301,11 @@ def _ribbon_axiom_through_fusion(p: int):
     K = cyclotomic_field(p)
     for a, b in product(_charges(p), repeat=2):
         th = yds.ribbon_scalar(K, a) * yds.ribbon_scalar(K, b)
+        braid, fused = {}, {}  # this sector's images, as in _sectors
         for s, t in product(range(a % p + 1), range(b % p + 1)):
             y, z = yds.one_vertex(a, s), yds.one_vertex(b, t)
-            lhs = fu.fusion_map(K, yds.braid_B2(K, {(y, z): th}))
-            rhs = yds.ribbon(K, fu.fusion_map_basis(K, y, z))
+            lhs = fu.fusion_map(K, yds.braid_B2(K, {(y, z): th}, braid), fused)
+            rhs = yds.ribbon(K, fu.fusion_map(K, {(y, z): K.one}, fused))
             yield (a, b, s, t), lhs == rhs
 
 
@@ -449,16 +471,18 @@ def _fusion_five_case_table(p: int):
 @_one("fusion.map_is_morphism")
 def _fusion_map_is_morphism(p: int):
     K = cyclotomic_field(p)
-    for a, b, s, t in _one_vertex_pairs(p, p):
-        x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
-        fused = fu.fusion_map_basis(K, yds.one_vertex(a, s), yds.one_vertex(b, t))
-        ok = all(
-            fu.fusion_map(K, yds.tensor_act_Fr(K, r, x)) == yds.act_Fr(K, r, fused)
-            for r in range(p)
-        )
-        yield (a, b, s, t), ok and yds.commutes_with_coaction(
-            K, lambda w: fu.fusion_map(K, w), x
-        )
+    for a, b in _sectors(p, p):
+        images = {}  # fusion_map's; the act_Fr side builds its images anew
+        for s, t in product(range(p), repeat=2):
+            x = {(yds.one_vertex(a, s), yds.one_vertex(b, t)): K.one}
+            fused = fu.fusion_map(K, x, images)
+            ok = all(
+                fu.fusion_map(K, yds.tensor_act_Fr(K, r, x), images) == yds.act_Fr(K, r, fused)
+                for r in range(p)
+            )
+            yield (a, b, s, t), ok and yds.commutes_with_coaction(
+                K, lambda w: fu.fusion_map(K, w, images), x
+            )
 
 
 # -- loop ---------------------------------------------------------------------

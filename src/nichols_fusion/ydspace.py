@@ -261,8 +261,11 @@ def commutes_with_coaction(K: CycField, f, x: dict) -> bool:
 # category braiding of Yetter-Drinfeld modules
 
 
-def braid_B(K: CycField, x: dict) -> dict:
-    """B(y (x) z) = sum psi(y_0, z) (y_{-1} |> z) (x) y_0, a map Y(x)Z -> Z(x)Y."""
+def braid_B(K: CycField, x: dict, images: dict | None = None) -> dict:
+    """B(y (x) z) = sum psi(y_0, z) (y_{-1} |> z) (x) y_0, a map Y(x)Z -> Z(x)Y.
+
+    images is linear_extend's dict of basis images, of braid_B only.
+    """
 
     def image(key):
         by, bz = key
@@ -273,10 +276,10 @@ def braid_B(K: CycField, x: dict) -> dict:
             for bw, d in act_Fr_basis(K, g, bz).items()
         }
 
-    return linear_extend(image, x)
+    return linear_extend(image, x, images)
 
 
-def braid_B_inv(K: CycField, x: dict) -> dict:
+def braid_B_inv(K: CycField, x: dict, images: dict | None = None) -> dict:
     """Inverse braiding Z(x)Y -> Y(x)Z, from the diagram with A^{-1}:
 
     B^{-1}(z (x) y) = psi(z, y)^{-1} sum_g psi(F(g), y_g) y_g (x) (A^{-1}(F(g)) |> z)
@@ -288,6 +291,10 @@ def braid_B_inv(K: CycField, x: dict) -> dict:
     this undoes B is a Gaussian-binomial identity (the alternating q-Pascal
     sum telescopes to zero in every degree above 0); it is asserted
     exhaustively in the tests.
+
+    images is linear_extend's dict of basis images, of braid_B_inv only: its
+    keys are pairs of basis vectors, as braid_B's are, so the two maps never
+    share one dict.
     """
     p = K.p
 
@@ -300,11 +307,12 @@ def braid_B_inv(K: CycField, x: dict) -> dict:
             for bw, d in act_Fr_basis(K, g, bz).items()
         }
 
-    return linear_extend(image, x)
+    return linear_extend(image, x, images)
 
 
-def braid_B2(K: CycField, x: dict) -> dict:
-    return braid_B(K, braid_B(K, x))
+def braid_B2(K: CycField, x: dict, images: dict | None = None) -> dict:
+    """B(B(x)); both passes read and fill the one dict of braid_B images."""
+    return braid_B(K, braid_B(K, x, images), images)
 
 
 def braid_B2_onepass(K: CycField, x: dict) -> dict:

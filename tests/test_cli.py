@@ -353,6 +353,10 @@ def _negated_vector(fn):
     return lambda K, *args: {key: -c for key, c in fn(K, *args).items()}
 
 
+def _times_q_vector(fn):
+    return lambda K, *args: {key: K.q_pow(1) * c for key, c in fn(K, *args).items()}
+
+
 def _extra_unit_at_2_3(fn):
     def broken(p, r1, nu1, r2, nu2):
         out = fn(p, r1, nu1, r2, nu2)
@@ -401,6 +405,12 @@ MUTANTS = [
     ("ydspace", "braid_B_inv", _negated_vector),
     # a negated _c1 cancels in the product of two that is _c2; x q does not
     pytest.param("ydspace", "_c1", _times_q, id="_c1_times_q"),
+    # each map below reads or fills images cached per sector, or sums cached
+    # per check; a negated braid_B cancels in B^2 = B B, x q does not
+    pytest.param("fusion", "monodromy_closed_form", _times_q_vector,
+                 id="monodromy_closed_form_times_q"),
+    pytest.param("ydspace", "braid_B", _times_q_vector, id="braid_B_times_q"),
+    pytest.param("fusion", "fusion_map_basis", _times_q_vector, id="fusion_map_basis_times_q"),
     pytest.param(
         "loop", "dual_identification_two_vertex", _times_q,
         id="dual_identification_two_vertex_times_q",

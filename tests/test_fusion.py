@@ -5,6 +5,7 @@ import pytest
 from nichols_fusion.cyclo import cyclotomic_field
 from nichols_fusion.linalg import VerificationError, add_term
 from nichols_fusion import fusion as fu
+from nichols_fusion import ydspace as yds
 from nichols_fusion.ydspace import one_vertex, two_vertex
 
 
@@ -118,6 +119,37 @@ def test_monodromy_closed_form(p):
                 for t in range(p):
                     closed = fu.monodromy_closed_form(K, a, b, s, t)
                     assert fu.fused_monodromy(K, a, b, s, t) == closed
+
+
+def monodromy_closed_form_reference(K, a, b, s, t):
+    # reference: the closed form term by term, each term with its full
+    # q-power q^{ab + 2j(j-1) - 2bj - a(n+t)} and the out-of-range rule of _put
+    out = {}
+    for n in range(s + t + 1):
+        key = two_vertex(a, b, s + t - n, n)
+        for j in range(min(n, t) + 1):
+            coef = (
+                K.q_pow(a * b + 2 * j * (j - 1) - 2 * b * j - a * (n + t))
+                * K.q_binom(s + t - j, s)
+                * yds._c1(K, b, j, n - j)
+            )
+            yds._put(K, out, key, coef)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_monodromy_closed_form_equals_its_term_by_term_reference(p):
+    # the charge-free sums S_n, with no dict, with a fresh dict on each call,
+    # and read from one dict shared by every (a, b, s, t), as the braiding
+    # check shares it
+    K = cyclotomic_field(p)
+    shared = {}
+    for a, b, s, t in product(range(2 * p), range(2 * p), range(p), range(p)):
+        want = monodromy_closed_form_reference(K, a, b, s, t)
+        assert fu.monodromy_closed_form(K, a, b, s, t) == want, (a, b, s, t)
+        assert fu.monodromy_closed_form(K, a, b, s, t, {}) == want, (a, b, s, t)
+        assert fu.monodromy_closed_form(K, a, b, s, t, shared) == want, (a, b, s, t)
+    assert len(shared) == p**3
 
 
 def monodromy_display_full(K, a, b, s, t):

@@ -130,6 +130,37 @@ def test_a_raising_check_fails_alike_on_any_job_count(monkeypatch, k):
     assert failed == [(f"yd.{name}", 3, detail) for name in ("two_vertex", "closed_form_action")]
 
 
+@pytest.mark.usefixtures("fresh_fields")
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_closed_form_range_guard_fails_at_its_instance(monkeypatch, k):
+    # a one-vertex coefficient that is nonzero where it must vanish (s + r >= p)
+    # at charges 2 mod 3, in the closed form's view of ydspace only (the
+    # braidings read the real one).  The first out-of-range term is at
+    # instance 24, (a, b, s, t) = (0, 2, 1, 2), the first instance that needs
+    # the sums of (b mod p, s, t) = (2, 1, 2): the row raises there, naming
+    # that instance's key, at any job count
+    import types
+
+    from nichols_fusion import fusion as fu
+    from nichols_fusion import ydspace as yds
+
+    c1 = yds._c1
+
+    def broken(K, a, s, r):
+        return K.one if s + r >= K.p and a % K.p == K.p - 1 else c1(K, a, s, r)
+
+    monkeypatch.setattr(fu, "yds", types.SimpleNamespace(**{**vars(yds), "_c1": broken}))
+    force_jobs(monkeypatch, k)
+    code, out = run_main(["verify", "--p", "3", "--suite", "braiding"])
+    failed = [(c["name"], c["count"], c["detail"]) for c in json.loads(out)["checks"] if not c["ok"]]
+    detail = (
+        "first failure: instance 24 (1 failing); instance 24 raised: nonzero coefficient"
+        " on out-of-range BasisVector(charges=(0, 2), crosses=(0, 3))"
+    )
+    assert code == 2
+    assert failed == [("braiding.monodromy_closed_form", 24, detail)]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_suite_entry_equals_its_parallel_run(monkeypatch, k):
     # the benchmark tracer wraps each SUITES entry and reads the CheckResults
