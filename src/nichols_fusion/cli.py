@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 Output is deterministic (sorted keys, fixed float formatting); results are
 cached as JSON, one file per request (command, p, options) and sha256 of the
 package sources, under --cache-dir, NICHOLS_FUSION_CACHE_DIR, or
-~/.cache/nichols-fusion.
+~/.cache/nichols-fusion.  A report and a cache entry are written a few rows
+at a time, so a command's peak memory is its payload's, not its text's.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .linalg import VerificationError
 
 SCHEMA_VERSION = "nichols-fusion/1"
 DEFAULT_MAX_P = 12
+# the json report's encoder chunks joined into one write: stdout may be
+# unbuffered (python -u, PYTHONUNBUFFERED), where each write is a system call
+_CHUNKS_PER_WRITE = 256
 # the common options that shape how a report is delivered, not what it holds;
 # every other option is part of the request
 _DELIVERY = ("max_p", "format", "out", "cache_dir", "no_cache")
@@ -135,17 +139,52 @@ def _payload_verify(p: int, suite: str) -> dict:
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
-def _render(payload: dict, fmt: str) -> str:
+def _dump_compact(payload: dict, write):
+    """Write json.dumps(payload, sort_keys=True) through write, one top-level
+    value or one list element (a row) at a time, each piece as soon as it is
+    made; payload holds at least one key (every payload has its head).
+
+    The stdlib's compact encoder runs in C only for a whole dump (json.dump
+    streams through the pure-Python one, about three times slower), so each
+    row is its own json.dumps and no more than one row's text is held.
+    """
+    for i, key in enumerate(sorted(payload)):
+        write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+        value = payload[key]
+        if isinstance(value, list) and value:
+            for j, row in enumerate(value):
+                write(("[" if j == 0 else ", ") + json.dumps(row, sort_keys=True))
+            write("]")
+        else:
+            write(json.dumps(value, sort_keys=True))
+    write("}")
+
+
+def _render(payload: dict, fmt: str, out):
+    """Write the report of payload in fmt to the text stream out, a few rows
+    or less at a time: json as the chunks of the stdlib's indenting encoder
+    (pure Python, whole dump or not; a new encoder per row would leave a
+    reference cycle per row to the collector), _CHUNKS_PER_WRITE to a write,
+    csv and pretty one line at a time."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        encoder = json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=1)
+        chunks = []
+        for chunk in encoder.iterencode(payload):
+            chunks.append(chunk)
+            if len(chunks) == _CHUNKS_PER_WRITE:
+                out.write("".join(chunks))
+                chunks.clear()
+        out.write("".join(chunks) + "\n")
+        return
     if fmt == "csv":
         rows = payload.get("table") or payload.get("summands") or payload.get("checks") or [payload]
         cols = sorted({k for row in rows for k in row})
-        lines = [",".join(cols)]
+        out.write(",".join(cols) + "\n")
         for row in rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
-        return "\n".join(lines) + "\n"
-    return _render_pretty(payload)
+            out.write(",".join(_csv_cell(row.get(c)) for c in cols) + "\n")
+        return
+    for line in _pretty_lines(payload):
+        out.write(line + "\n")
 
 
 def _csv_cell(v):
@@ -156,16 +195,16 @@ def _csv_cell(v):
     return str(v)
 
 
-def _render_pretty(payload: dict) -> str:
+def _pretty_lines(payload: dict):
     cmd = payload["command"]
-    lines = [f"# {cmd} p={payload['p']} ({payload['schema']})"]
+    yield f"# {cmd} p={payload['p']} ({payload['schema']})"
     if cmd == "verify":
         for c in payload["checks"]:
             status = "PASS" if c["ok"] else "FAIL"
             extra = f"  [{c['detail']}]" if c["detail"] else ""
-            lines.append(f"{status} {c['name']} (checks={c['count']}){extra}")
+            yield f"{status} {c['name']} (checks={c['count']}){extra}"
         good = sum(1 for c in payload["checks"] if c["ok"])
-        lines.append(f"{good}/{len(payload['checks'])} checks passed")
+        yield f"{good}/{len(payload['checks'])} checks passed"
     elif cmd == "fusion":
         for row in payload["table"]:
             if "error" in row:
@@ -174,31 +213,23 @@ def _render_pretty(payload: dict) -> str:
                 rhs = " + ".join(
                     f"{d['kind']}({d['r']})_{d['nu']}" for d in row["summands"]
                 )
-            lines.append(
-                f"X({row['r1']})_{row['nu1']} x X({row['r2']})_{row['nu2']} = {rhs}"
-            )
+            yield f"X({row['r1']})_{row['nu1']} x X({row['r2']})_{row['nu2']} = {rhs}"
     elif cmd == "decompose" and "error" in payload:
-        lines.append(f"FAIL {payload['error']}")
+        yield f"FAIL {payload['error']}"
     elif cmd == "decompose":
         for s in payload["summands"]:
-            lines.append(f"{s['mult']} x {s['kind']}[{s['r']}]")
-        lines.append(f"total dimension {payload['dimension']}")
+            yield f"{s['mult']} x {s['kind']}[{s['r']}]"
+        yield f"total dimension {payload['dimension']}"
     elif cmd == "classify":
-        rows = payload.get("table") or [payload]
-        for row in rows:
-            lines.append(
-                f"(a={row['a']}, b={row['b']}, t={row['t']}) -> "
-                f"{row['kind']}({row['r']})_{row['nu_raw']}"
-            )
+        for row in payload.get("table") or [payload]:
+            yield (f"(a={row['a']}, b={row['b']}, t={row['t']}) -> "
+                   f"{row['kind']}({row['r']})_{row['nu_raw']}")
     elif cmd == "loop":
         for row in payload["table"]:
             mu = row.get("mu")
             mu_txt = f"  mu={_scalar_txt(mu)}" if mu else ""
-            lines.append(
-                f"lambda(Y=X({row['rp']})_{row['nup']}; Z=X({row['r']})_{row['nu']}) = "
-                f"{_scalar_txt(row['lambda'])}{mu_txt}"
-            )
-    return "\n".join(lines) + "\n"
+            yield (f"lambda(Y=X({row['rp']})_{row['nup']}; Z=X({row['r']})_{row['nu']}) = "
+                   f"{_scalar_txt(row['lambda'])}{mu_txt}")
 
 
 def _scalar_txt(s: dict) -> str:
@@ -226,12 +257,18 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _write_atomic(path: Path, text: str):
-    # readers see either no file or a whole one, never a partial write; the
-    # temporary name is per process, so concurrent writers do not collide
+def _write_atomic(path: Path, payload: dict):
+    """Store payload at path as compact JSON, written one row at a time
+    (_dump_compact) into a temporary file that is then renamed into place.
+
+    Readers see either no file or a whole one, never a partial write, and a
+    write that raises leaves neither; the temporary name is per process, so
+    concurrent writers do not collide.
+    """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            _dump_compact(payload, fh.write)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -266,7 +303,7 @@ def _cached(args, request: dict, build):
     payload = {**head, **build(**params)}
     try:
         cdir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, json.dumps(payload, sort_keys=True))
+        _write_atomic(path, payload)
     except OSError:
         pass
     return payload
@@ -340,11 +377,11 @@ def main(argv=None) -> int:
     payload = _cached(args, request, build)
 
     fmt = args.format or ("pretty" if args.command == "verify" else "json")
-    text = _render(payload, fmt)
-    sys.stdout.write(text)
+    _render(payload, fmt, sys.stdout)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as fh:
+                _render(payload, fmt, fh)
         except OSError as exc:
             parser.error(f"--out: cannot write {args.out}: {exc.strerror or exc}")
     return 0 if payload["ok"] else 2

@@ -1,15 +1,18 @@
 import json
 import io
 import contextlib
+import errno
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols_fusion import cli
 from nichols_fusion.cli import main
@@ -118,12 +121,21 @@ def test_csv_format():
 
 
 def test_out_file(tmp_path):
-    target = tmp_path / "report.json"
-    code, out = run_cli(
-        ["classify", "--p", "3", "--a", "0", "--b", "0", "--t", "0", "--out", str(target)]
-    )
-    assert code == 0
-    assert target.read_text() == out
+    # every command and format at p = 3: the --out file is stdout, and the
+    # cache entry the first run stores is the compact dump of the payload
+    commands = [["fusion"], ["decompose"], ["classify"], ["classify", "--a", "0", "--b", "0", "--t", "0"],
+                ["loop"], ["verify"]]
+    for n, args in enumerate(commands):
+        cache = tmp_path / f"cache{n}"
+        for fmt in ("json", "csv", "pretty"):
+            target = tmp_path / f"report{n}.{fmt}"
+            argv = args + ["--p", "3", "--format", fmt, "--out", str(target)]
+            code, out = run_cli(argv, cache=cache)
+            assert code == 0
+            assert target.read_text() == out, argv
+            if fmt == "json":
+                (entry,) = _cache_entries(cache)
+                assert entry.read_text() == json.dumps(json.loads(out), sort_keys=True)
 
 
 @pytest.mark.usefixtures("fresh_fields")
@@ -646,3 +658,143 @@ def test_table_command_equals_the_recorded_json(name, args):
     # fusion_table's summand tuples
     want = (Path(__file__).parent / "data" / f"{name}.json").read_text()
     assert run_cli(args + ["--p", "4", "--format", "json"]) == (0, want)
+
+
+def _payload_of(argv):
+    """The payload that main hands to _render for argv, computed uncached."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_render", lambda payload, fmt, out: seen.append(payload))
+        main(argv + ["--no-cache"])
+    (payload,) = seen
+    return payload
+
+
+class _Pieces(list):
+    """A text stream that keeps each piece written to it."""
+
+    write = list.append
+
+
+def _assert_pieces_join_to_json_dumps(payload):
+    report = _Pieces()
+    cli._render(payload, "json", report)
+    assert "".join(report) == json.dumps(
+        payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    entry = _Pieces()
+    cli._dump_compact(payload, entry.write)
+    assert "".join(entry) == json.dumps(payload, sort_keys=True)
+
+
+_COMMANDS = {
+    "fusion": ["fusion"],
+    "fusion-nu4": ["fusion", "--nu-mod", "4"],
+    "decompose-v1": ["decompose", "--vertices", "1"],
+    "decompose-v2": ["decompose"],
+    "classify-table": ["classify"],
+    "classify-cell": ["classify", "--a", "1", "--b", "2", "--t", "1"],
+    "loop": ["loop"],
+    "loop-nu4": ["loop", "--nu-mod", "4"],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_written_pieces_join_to_json_dumps(name, p):
+    _assert_pieces_join_to_json_dumps(_payload_of(_COMMANDS[name] + ["--p", str(p)]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_written_verify_pieces_join_to_json_dumps(p):
+    # the recorded report holds the payload of verify --suite all
+    recorded = (Path(__file__).parent / "data" / f"verify_p{p}_all.json").read_text()
+    _assert_pieces_join_to_json_dumps(json.loads(recorded))
+
+
+@pytest.mark.usefixtures("fresh_fields")
+def test_written_error_and_empty_pieces_join_to_json_dumps(monkeypatch):
+    from nichols_fusion import classify as cl
+
+    head = {"schema": cli.SCHEMA_VERSION, "command": "loop", "p": 2, "nu_mod": 2}
+    _assert_pieces_join_to_json_dumps({**head, "ok": True, "table": []})
+    monkeypatch.setattr(cl, "classify_coinvariant", _b_cells_as_x(cl.classify_coinvariant))
+    payload = _payload_of(["decompose", "--p", "3"])
+    assert payload["ok"] is False and "has partner" in payload["error"]
+    _assert_pieces_join_to_json_dumps(payload)
+
+
+# strings with non-ASCII characters, quotes, backslashes and newlines
+_json_text = st.text(st.characters() | st.sampled_from('"\\\n\té\u2603\U0001f600'), max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_json_text, _json_values, min_size=1, max_size=5))
+def test_written_pieces_of_any_payload_join_to_json_dumps(payload):
+    _assert_pieces_join_to_json_dumps(payload)
+
+
+class _CharCount:
+    """A sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.n = 0
+
+    def write(self, piece):
+        self.n += len(piece)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_and_cache_entry_are_written_one_row_at_a_time():
+    # a report rendered whole holds several times its own length (about 8.7x
+    # at loop --p 11 --nu-mod 4); written a row or less at a time, it holds
+    # only a piece
+    payload = _payload_of(["loop", "--p", "6", "--nu-mod", "4"])
+    sink = _CharCount()
+    peak = _peak_bytes(lambda: cli._render(payload, "json", sink))
+    assert sink.n == len(json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)) + 1
+    assert peak < sink.n / 4, (peak, sink.n)
+    sink = _CharCount()
+    peak = _peak_bytes(lambda: cli._dump_compact(payload, sink.write))
+    assert sink.n == len(json.dumps(payload, sort_keys=True))
+    assert peak < sink.n / 4, (peak, sink.n)
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   RuntimeError("interrupted")], ids=["OSError", "RuntimeError"])
+def test_cache_write_that_fails_partway_leaves_nothing(tmp_path, monkeypatch, error):
+    # the cache entry's writer raises after its first piece
+    dump = cli._dump_compact
+
+    def failing(payload, write):
+        written = []
+
+        def write_once(piece):
+            if written:
+                raise error
+            written.append(piece)
+            write(piece)
+
+        dump(payload, write_once)
+
+    argv = ["fusion", "--p", "2"]
+    want = run_cli(argv)
+    monkeypatch.setattr(cli, "_dump_compact", failing)
+    if isinstance(error, OSError):
+        assert run_cli(argv, cache=tmp_path) == want
+    else:
+        with pytest.raises(RuntimeError):
+            run_cli(argv, cache=tmp_path)
+    assert list(tmp_path.iterdir()) == []
